@@ -89,7 +89,7 @@ int main() {
               static_cast<long long>(cells), static_cast<long long>(groups),
               static_cast<long long>(channels), p_ranks);
   std::printf("factor %.3g modeled s + batched solve %.3g modeled s; residual %.2e\n",
-              session.factor_vtime(), session.solve_vtimes()[0],
+              session.factor_vtime(), session.last_solve_vtime(),
               btds::relative_residual(sys, x, q));
 
   // Physics checks: positive flux everywhere, and superposition — solving

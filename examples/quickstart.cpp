@@ -36,16 +36,18 @@ int main() {
   core::Session session(core::Method::kArd, sys, /*nranks=*/4, {.engine = engine});
   session.factor();
   const la::Matrix x1 = session.solve(b1);
+  const double t1 = session.last_solve_vtime();
   const la::Matrix x2 = session.solve(b2);
+  const double t2 = session.last_solve_vtime();
 
   std::printf("ARD quickstart: N=%lld block rows, M=%lld, P=4\n", static_cast<long long>(n),
               static_cast<long long>(m));
   std::printf("  factor       : %.3g modeled seconds, %.2f MiB factored state\n",
               session.factor_vtime(), static_cast<double>(session.storage_bytes()) / (1 << 20));
   std::printf("  solve R=8    : %.3g modeled seconds, residual %.2e\n",
-              session.solve_vtimes()[0], btds::relative_residual(sys, x1, b1));
+              t1, btds::relative_residual(sys, x1, b1));
   std::printf("  solve R=32   : %.3g modeled seconds, residual %.2e\n",
-              session.solve_vtimes()[1], btds::relative_residual(sys, x2, b2));
+              t2, btds::relative_residual(sys, x2, b2));
 
   // The one-call driver is available when a single solve is all you need:
   const core::DriverResult once =

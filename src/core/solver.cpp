@@ -184,6 +184,24 @@ void Session::log_outcome(const SolveOutcome& outcome) {
   }
 }
 
+void Session::record_outcome(SolveOutcome outcome) {
+  log_outcome(outcome);
+  const bool troubled =
+      outcome.phase != "solve" || outcome.action != "ok" || outcome.retries > 0;
+  if (troubled) {
+    outcomes_.push_back(outcome);
+  } else {
+    ++ok_solves_;
+  }
+  last_outcome_ = std::move(outcome);
+}
+
+void Session::record_solve_vtime(double vtime) {
+  last_solve_vtime_ = vtime;
+  solve_vtimes_.push_back(vtime);
+  solve_latency_.observe(vtime);
+}
+
 void Session::dump_postmortem(const char* phase, fault::ErrorCode code,
                               const std::string& message) {
   const std::string_view reason = fault::to_string(code);
@@ -229,6 +247,7 @@ void Session::dump_postmortem(const char* phase, fault::ErrorCode code,
     ladder.push(std::move(oj));
   }
   extra.set("ladder", std::move(ladder));
+  extra.set("ok_solves", ok_solves_);
   obs::live::write_postmortem(telemetry_.postmortem_path, info, telemetry_.recorder,
                               telemetry_.metrics, std::move(extra));
 }
@@ -375,16 +394,14 @@ void Session::factor() {
     SolveOutcome outcome{.phase = "factor", .status = e.status(), .retries = last_retries_};
     if (policy == fault::BreakdownPolicy::kFailFast) {
       outcome.action = "failfast";
-      log_outcome(outcome);
-      outcomes_.push_back(std::move(outcome));
+      record_outcome(std::move(outcome));
       throw;
     }
     ensure_fallback();
     degraded_ = true;
     outcome.action = "fallback";
     outcome.detail = "banded-LU fallback factored; session degraded to the exact path";
-    log_outcome(outcome);
-    outcomes_.push_back(std::move(outcome));
+    record_outcome(std::move(outcome));
     factored_ = true;
     return;
   }
@@ -401,8 +418,7 @@ void Session::factor() {
     if (policy == fault::BreakdownPolicy::kFailFast) {
       outcome.status = fault::Status::error(fault::ErrorCode::kBreakdown, message);
       outcome.action = "failfast";
-      log_outcome(outcome);
-      outcomes_.push_back(std::move(outcome));
+      record_outcome(std::move(outcome));
       dump_postmortem("driver.factor", fault::ErrorCode::kBreakdown, message);
       throw fault::BreakdownError("core::Session::factor", pivot_growth_,
                                   opts_.breakdown_growth_threshold);
@@ -413,8 +429,7 @@ void Session::factor() {
     outcome.detail = "breakdown flagged; solves take the recovery rung";
     dump_postmortem("driver.factor", fault::ErrorCode::kBreakdown, message);
   }
-  log_outcome(outcome);
-  outcomes_.push_back(std::move(outcome));
+  record_outcome(std::move(outcome));
   factor_vtime_ = vtime;
   storage_bytes_ = bytes;
   factored_ = true;
@@ -458,9 +473,8 @@ void Session::export_arena_metrics(obs::MetricsRegistry& reg) const {
 
 void Session::export_latency_metrics(obs::MetricsRegistry& reg) const {
   if (factor_vtime_ > 0.0) reg.latency("latency.session.factor_s").observe(factor_vtime_);
-  if (!solve_vtimes_.empty()) {
-    obs::LatencyHistogram& h = reg.latency("latency.session.solve_s");
-    for (double s : solve_vtimes_) h.observe(s);
+  if (solve_latency_.total_count() > 0) {
+    reg.latency("latency.session.solve_s").merge(solve_latency_);
   }
 }
 
@@ -481,14 +495,13 @@ la::Matrix Session::solve(const la::Matrix& b) {
   }
   if (degraded_) {
     la::Matrix x = fallback_solve(b);
-    solve_vtimes_.push_back(last_phase_vtime_);
+    record_solve_vtime(last_phase_vtime_);
     SolveOutcome outcome{.phase = "solve",
                          .action = "fallback",
                          .retries = last_retries_,
                          .residual = btds::relative_residual(*sys_, x, b),
                          .pivot_growth = pivot_growth_};
-    log_outcome(outcome);
-    outcomes_.push_back(std::move(outcome));
+    record_outcome(std::move(outcome));
     return x;
   }
 
@@ -556,9 +569,8 @@ la::Matrix Session::solve(const la::Matrix& b) {
       outcome.residual = btds::relative_residual(*sys_, x, b);
     }
   }
-  solve_vtimes_.push_back(vtime);
-  log_outcome(outcome);
-  outcomes_.push_back(std::move(outcome));
+  record_solve_vtime(vtime);
+  record_outcome(std::move(outcome));
   return x;
 }
 
@@ -570,7 +582,7 @@ DriverResult solve(Method method, const btds::BlockTridiag& sys, const la::Matri
   result.x = session.solve(b);
   result.report = session.report();
   result.factor_vtime = session.factor_vtime();
-  result.solve_vtime = session.solve_vtimes().back();
+  result.solve_vtime = session.last_solve_vtime();
   result.outcomes = session.outcomes();
   return result;
 }
@@ -594,10 +606,13 @@ SessionResult ard_session(const btds::BlockTridiag& sys,
   session.factor();
   SessionResult result;
   result.x.reserve(batches.size());
-  for (const la::Matrix* batch : batches) result.x.push_back(session.solve(*batch));
+  result.solve_vtimes.reserve(batches.size());
+  for (const la::Matrix* batch : batches) {
+    result.x.push_back(session.solve(*batch));
+    result.solve_vtimes.push_back(session.last_solve_vtime());
+  }
   result.report = session.report();
   result.factor_vtime = session.factor_vtime();
-  result.solve_vtimes = session.solve_vtimes();
   result.storage_bytes = session.storage_bytes();
   return result;
 }

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,10 +16,7 @@
 #include "src/la/workspace.hpp"
 #include "src/mpsim/engine.hpp"
 #include "src/obs/live/telemetry.hpp"
-
-namespace ardbt::obs {
-class MetricsRegistry;
-}
+#include "src/obs/metrics.hpp"
 
 /// \file solver.hpp
 /// Driver API: an explicit factor/solve `Session` plus one-shot
@@ -28,9 +27,11 @@ class MetricsRegistry;
 /// right-hand-side-independent phase once; every `solve(B)` afterwards
 /// replays only the O(M^2 R) work — the incremental right-hand-side
 /// arrival pattern (time stepping) that motivates the accelerated
-/// algorithm. Each call spins up one engine run; the virtual clock is
-/// threaded across runs (EngineOptions::vtime_origin) so a session's
-/// trace reads as one seamless timeline: factor, then solve, then solve…
+/// algorithm. Each call is one engine run — rank 0 on the calling thread,
+/// the other ranks on parked workers that mpsim reuses across runs, so a
+/// cached solve pays no thread launch. The virtual clock is threaded
+/// across runs (EngineOptions::vtime_origin) so a session's trace reads
+/// as one seamless timeline: factor, then solve, then solve…
 ///
 /// Intra-rank parallelism: set EngineOptions::threads_per_rank > 1 and
 /// every rank's solve kernels fan RHS-column panels out over a par::Pool.
@@ -76,8 +77,8 @@ struct SessionConfig {
 
 /// One entry of the session's robustness log: what happened during a
 /// factor or solve phase and what the driver did about it. An untroubled
-/// phase records {status ok, action "ok"}; a degraded one records the
-/// triggering error and the recovery rung taken.
+/// phase records {status ok, action "ok", no retries}; a degraded one
+/// records the triggering error and the recovery rung taken.
 struct SolveOutcome {
   std::string phase;     ///< "factor" or "solve"
   fault::Status status;  ///< error that triggered recovery (ok when none)
@@ -130,7 +131,7 @@ class Session {
   void factor();
 
   /// Solve T X = B for all columns of `b`; auto-factors on first use.
-  /// Appends the batch's modeled seconds to solve_vtimes().
+  /// Records the batch's modeled seconds (last_solve_vtime()).
   la::Matrix solve(const la::Matrix& b);
 
   bool factored() const { return factored_; }
@@ -140,7 +141,11 @@ class Session {
   /// Modeled seconds of the factor run (0 until factored; 0 forever for
   /// the classic RD methods).
   double factor_vtime() const { return factor_vtime_; }
-  /// Modeled seconds of each solve batch, in call order.
+  /// Modeled seconds of the latest solve batch (0 before the first).
+  double last_solve_vtime() const { return last_solve_vtime_; }
+  /// Modeled seconds of every solve batch, in call order. Grows by one
+  /// value per solve; kept only because perfbench/ checks each timed step
+  /// against the first. Everything else reads last_solve_vtime().
   const std::vector<double>& solve_vtimes() const { return solve_vtimes_; }
   /// Bytes of factored state on rank 0 (0 for methods without one).
   std::size_t storage_bytes() const { return storage_bytes_; }
@@ -160,8 +165,9 @@ class Session {
   /// Export modeled phase latencies into `reg`: the factor run into
   /// "latency.session.factor_s" (when one ran) and every solve batch into
   /// "latency.session.solve_s" — the p50/p99 source for the service-layer
-  /// view of a long-lived session. Virtual-clock values: deterministic
-  /// under ChargedFlops.
+  /// view of a long-lived session. Solves feed a fixed-size histogram as
+  /// they run, so a long-lived session keeps no per-solve list for this.
+  /// Virtual-clock values: deterministic under ChargedFlops.
   void export_latency_metrics(obs::MetricsRegistry& reg) const;
 
   /// Engine counters accumulated over every run so far (virtual-clock
@@ -180,13 +186,19 @@ class Session {
   void set_telemetry(const obs::live::Telemetry& telemetry);
   const obs::live::Telemetry& telemetry() const { return telemetry_; }
 
-  /// Robustness log, one entry per factor/solve phase (see SolveOutcome).
+  /// Robustness log (see SolveOutcome): the factor outcome and every
+  /// troubled solve — one that took a recovery rung or needed retries —
+  /// in call order. Untroubled solves are only counted (ok_solves()), so
+  /// a time-stepping loop or a cached service session does not grow it.
   const std::vector<SolveOutcome>& outcomes() const { return outcomes_; }
-  /// Latest ladder entry, or nullptr before any phase ran. Service-layer
-  /// callers read it to attach the triggering status and recovery rung of
-  /// a degraded solve to the Completion they hand back.
+  /// Number of untroubled solves (not kept in outcomes()).
+  std::uint64_t ok_solves() const { return ok_solves_; }
+  /// Latest phase's outcome, troubled or not; nullptr before any phase
+  /// ran. Service-layer callers read it to attach the triggering status
+  /// and recovery rung of a degraded solve to the Completion they hand
+  /// back.
   const SolveOutcome* last_outcome() const {
-    return outcomes_.empty() ? nullptr : &outcomes_.back();
+    return last_outcome_ ? &*last_outcome_ : nullptr;
   }
   /// True once the session runs on the exact banded-LU fallback.
   bool degraded() const { return degraded_; }
@@ -206,6 +218,11 @@ class Session {
   /// Structured log record for a ladder outcome (info when untroubled,
   /// warn when a recovery rung was taken).
   void log_outcome(const SolveOutcome& outcome);
+  /// Log `outcome`, make it last_outcome(), and keep it in outcomes_ unless
+  /// it is an untroubled solve (then only ok_solves_ counts it).
+  void record_outcome(SolveOutcome outcome);
+  /// Bookkeeping of one finished solve batch of `vtime` modeled seconds.
+  void record_solve_vtime(double vtime);
   /// Write the postmortem bundle (no-op without a postmortem_path). The
   /// code classifies the incident; its stable name becomes the reason.
   void dump_postmortem(const char* phase, fault::ErrorCode code, const std::string& message);
@@ -228,13 +245,17 @@ class Session {
   bool factored_ = false;
   double vtime_cursor_ = 0.0;  ///< virtual-time origin of the next run
   double factor_vtime_ = 0.0;
+  double last_solve_vtime_ = 0.0;
   std::vector<double> solve_vtimes_;
+  obs::LatencyHistogram solve_latency_;  ///< every solve batch's modeled seconds
   std::size_t storage_bytes_ = 0;
   mpsim::RunReport report_;
   bool have_report_ = false;
 
   // Robustness state (see docs/ROBUSTNESS.md).
   std::vector<SolveOutcome> outcomes_;
+  std::uint64_t ok_solves_ = 0;
+  std::optional<SolveOutcome> last_outcome_;
   bool degraded_ = false;   ///< solves go through the banded-LU fallback
   bool breakdown_ = false;  ///< monitor flagged the fast factorization
   double pivot_growth_ = 0.0;
@@ -263,7 +284,7 @@ struct DriverResult {
   mpsim::RunReport report;     ///< engine counters
   double factor_vtime = 0.0;   ///< modeled seconds in the factor phase
   double solve_vtime = 0.0;    ///< modeled seconds in the solve phase(s)
-  std::vector<SolveOutcome> outcomes;  ///< robustness log of the session
+  std::vector<SolveOutcome> outcomes;  ///< robustness log (Session::outcomes())
 };
 
 /// One-shot convenience: Session(method, ...), factor, one solve. A

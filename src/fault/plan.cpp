@@ -88,7 +88,9 @@ SendActions FaultPlan::on_send(int rank, int dst, int tag, double vtime) {
   const std::uint64_t ordinal = state.sends++;
   SendActions actions;
   for (FaultSpec& spec : specs_) {
-    if (spec.fired || spec.rank != rank || spec.nth_send != ordinal) continue;
+    // Test the owner first: a spec's `fired` flag is read and written only
+    // by its own rank's thread, so concurrent senders never race on it.
+    if (spec.rank != rank || spec.fired || spec.nth_send != ordinal) continue;
     spec.fired = true;
     actions.injected_count += 1;
     switch (spec.kind) {

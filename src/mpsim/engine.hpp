@@ -10,13 +10,25 @@
 #include "src/mpsim/stats.hpp"
 
 /// \file engine.hpp
-/// Launches P logical ranks as host threads and runs a rank function on
-/// each, MPI "SPMD" style. The engine owns all shared state; ranks only
-/// see their Comm endpoint. If any rank throws it is marked dead; peers
-/// keep running until they block on a receive from a dead rank (data-flow
-/// failure propagation — deterministic under any thread schedule), those
-/// wake with AbortedError and die in turn, all threads are joined, and the
-/// lowest-numbered rank's root-cause exception is rethrown to the caller.
+/// Runs a rank function on P logical ranks, MPI "SPMD" style. Rank 0 runs
+/// on the calling thread; ranks 1..P-1 run on parked worker threads taken
+/// from a process-wide free list (a new worker is started only when the
+/// list is empty) and handed back once the run has joined them, so a
+/// cached solve pays no thread launch and no worker ever serves two
+/// in-flight runs — concurrent and nested runs cannot deadlock. Every wait
+/// blocks on a condition variable; nothing spins. Workers are never shut
+/// down: they stay parked, reachable from the free list, until the
+/// process exits.
+///
+/// Everything else is per run: the World (mailboxes, death flags, fault
+/// plan, deadlines), error slots, tracer/recorder channels and each
+/// rank's par::Pool, so a failed run leaves nothing behind. The engine
+/// owns all shared state; ranks only see their Comm endpoint. If any rank
+/// throws it is marked dead; peers keep running until they block on a
+/// receive from a dead rank (data-flow failure propagation — deterministic
+/// under any thread schedule), those wake with AbortedError and die in
+/// turn, all ranks are joined, and the lowest-numbered rank's root-cause
+/// exception is rethrown to the caller.
 
 namespace ardbt::mpsim {
 
@@ -74,7 +86,8 @@ struct RunReport {
 using RankFn = std::function<void(Comm&)>;
 
 /// Run `fn` on `nranks` logical ranks and collect per-rank statistics.
-/// Blocks until all ranks finish. Rethrows the first rank exception.
+/// Rank 0 runs on the calling thread. Blocks until all ranks finish.
+/// Rethrows the first rank exception.
 RunReport run(int nranks, const RankFn& fn, const EngineOptions& options = {});
 
 }  // namespace ardbt::mpsim

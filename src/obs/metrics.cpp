@@ -54,6 +54,23 @@ void LatencyHistogram::observe(double x) {
   buckets_[static_cast<std::size_t>(exp - kMinExp)] += 1;
 }
 
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  if (other.count_ == 0) return;
+  if (count_ == 0) {
+    *this = other;
+    return;
+  }
+  if (!other.buckets_.empty()) {
+    buckets_.resize(kBuckets, 0);
+    for (std::size_t k = 0; k < kBuckets; ++k) buckets_[k] += other.buckets_[k];
+  }
+  zero_ += other.zero_;
+  count_ += other.count_;
+  sum_ += other.sum_;
+  min_ = std::min(min_, other.min_);
+  max_ = std::max(max_, other.max_);
+}
+
 double LatencyHistogram::percentile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::max(0.0, std::min(1.0, q));

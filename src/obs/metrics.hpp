@@ -83,6 +83,9 @@ class LatencyHistogram {
   static constexpr int kMaxExp = 64;
 
   void observe(double x);
+  /// Fold in every sample of `other`: the same buckets, count, min and max
+  /// as observing them here one by one (the sum may differ in rounding).
+  void merge(const LatencyHistogram& other);
 
   std::uint64_t total_count() const { return count_; }
   std::uint64_t zero_count() const { return zero_; }

@@ -304,7 +304,7 @@ void Server::run_batch(Fingerprint fp, double close_s) {
     return;
   }
 
-  const double solve_s = lease.session->solve_vtimes().back();
+  const double solve_s = lease.session->last_solve_vtime();
   const double service_s = (lease.hit ? 0.0 : lease.factor_vtime_s) + solve_s;
   const double finish_s = start_s + waited_s + service_s;
   free_s_ = finish_s;

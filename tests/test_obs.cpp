@@ -319,6 +319,34 @@ TEST(Metrics, LatencyNanIgnoredAndEmptyReportsZero) {
   EXPECT_DOUBLE_EQ(h.percentile(0.99), 0.0);
 }
 
+TEST(Metrics, LatencyMergeMatchesObservingEverySample) {
+  const std::vector<double> a = {0.0, 1.5, 3.0, 1e-300};
+  const std::vector<double> b = {-2.0, 6.0, 12.0, 0.25};
+  obs::LatencyHistogram all;
+  obs::LatencyHistogram ha;
+  obs::LatencyHistogram hb;
+  for (double x : a) {
+    all.observe(x);
+    ha.observe(x);
+  }
+  for (double x : b) {
+    all.observe(x);
+    hb.observe(x);
+  }
+  obs::LatencyHistogram merged;
+  merged.merge(ha);  // into an empty histogram: an exact copy
+  EXPECT_EQ(merged.to_json().dump(), ha.to_json().dump());
+  merged.merge(hb);
+  merged.merge(obs::LatencyHistogram{});  // empty: no effect
+  EXPECT_EQ(merged.total_count(), all.total_count());
+  EXPECT_EQ(merged.zero_count(), all.zero_count());
+  EXPECT_EQ(merged.nonzero_buckets(), all.nonzero_buckets());
+  EXPECT_DOUBLE_EQ(merged.sum(), all.sum());
+  EXPECT_EQ(merged.min(), all.min());
+  EXPECT_EQ(merged.max(), all.max());
+  for (double q : {0.1, 0.5, 0.9, 0.99}) EXPECT_EQ(merged.percentile(q), all.percentile(q)) << q;
+}
+
 TEST(Metrics, LatencyNearestRankPercentiles) {
   obs::LatencyHistogram h;
   // One sample per bucket: (1,2], (2,4], (4,8], (8,16].

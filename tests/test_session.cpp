@@ -50,7 +50,7 @@ TEST(Session, FactorOnceThenRepeatedSolves) {
 
   const la::Matrix x1 = session.solve(b1);
   const la::Matrix x2 = session.solve(b2);
-  ASSERT_EQ(session.solve_vtimes().size(), 2u);
+  ASSERT_EQ(session.ok_solves(), 2u);
   EXPECT_LT(btds::relative_residual(sys, x1, b1), 1e-10);
   EXPECT_LT(btds::relative_residual(sys, x2, b2), 1e-10);
 
@@ -81,7 +81,7 @@ TEST(Session, ClassicRdHasNoFactorPhase) {
     Session session(method, sys, 3, {.engine = charged()});
     const la::Matrix x = session.solve(b);
     EXPECT_EQ(session.factor_vtime(), 0.0) << to_string(method);
-    EXPECT_GT(session.solve_vtimes().at(0), 0.0) << to_string(method);
+    EXPECT_GT(session.last_solve_vtime(), 0.0) << to_string(method);
     EXPECT_LT(btds::relative_residual(sys, x, b), 1e-9) << to_string(method);
   }
 }
@@ -121,13 +121,13 @@ TEST(Session, VirtualTimesAreIndependentOfThreadCount) {
     session.solve(b);
     if (threads == 1) {
       ref_factor = session.factor_vtime();
-      ref_solve = session.solve_vtimes().at(0);
+      ref_solve = session.last_solve_vtime();
       ref_flops = session.report().totals().flops_charged;
       EXPECT_GT(ref_factor, 0.0);
       EXPECT_GT(ref_solve, 0.0);
     } else {
       EXPECT_DOUBLE_EQ(session.factor_vtime(), ref_factor) << threads;
-      EXPECT_DOUBLE_EQ(session.solve_vtimes().at(0), ref_solve) << threads;
+      EXPECT_DOUBLE_EQ(session.last_solve_vtime(), ref_solve) << threads;
       EXPECT_DOUBLE_EQ(session.report().totals().flops_charged, ref_flops) << threads;
     }
   }
@@ -197,6 +197,42 @@ TEST(Session, ArdSolveIsArenaSteadyStateAfterFirstSolve) {
   obs::MetricsRegistry reg2;
   session.export_arena_metrics(reg2);
   EXPECT_EQ(reg2.gauge("arena.solve.slab_allocs").value(), solve_allocs);
+}
+
+TEST(Session, SolveLogStaysBoundedAndLatencyExportIsUnchanged) {
+  // A time-stepping loop must not grow the robustness log: untroubled
+  // solves are counted, not kept, while the exported latency histogram
+  // still sees every solve, exactly as if each batch were observed.
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 16, 3);
+  const auto b1 = make_rhs(16, 3, 2, 5);
+  const auto b2 = make_rhs(16, 3, 6, 6);
+  Session session(Method::kArd, sys, 3, {.engine = charged()});
+  EXPECT_EQ(session.last_outcome(), nullptr);
+  EXPECT_EQ(session.last_solve_vtime(), 0.0);
+  session.factor();
+  ASSERT_NE(session.last_outcome(), nullptr);
+  EXPECT_EQ(session.last_outcome()->phase, "factor");
+
+  obs::LatencyHistogram expected;
+  const int kSolves = 40;
+  for (int i = 0; i < kSolves; ++i) {
+    session.solve(i % 2 == 0 ? b1 : b2);
+    EXPECT_GT(session.last_solve_vtime(), 0.0);
+    expected.observe(session.last_solve_vtime());
+    ASSERT_NE(session.last_outcome(), nullptr);
+    EXPECT_EQ(session.last_outcome()->phase, "solve");
+    EXPECT_EQ(session.last_outcome()->action, "ok");
+  }
+  EXPECT_EQ(session.ok_solves(), static_cast<std::uint64_t>(kSolves));
+  ASSERT_EQ(session.outcomes().size(), 1u);
+  EXPECT_EQ(session.outcomes()[0].phase, "factor");
+
+  obs::MetricsRegistry reg;
+  session.export_latency_metrics(reg);
+  EXPECT_EQ(reg.latency("latency.session.solve_s").to_json().dump(), expected.to_json().dump());
+  EXPECT_EQ(reg.latency("latency.session.solve_s").total_count(),
+            static_cast<std::uint64_t>(kSolves));
+  EXPECT_EQ(reg.latency("latency.session.factor_s").total_count(), 1u);
 }
 
 TEST(Session, RejectsBadShapesAndRankCounts) {

@@ -754,7 +754,7 @@ int main(int argc, char** argv) {
       res.x = session->solve(b);
       res.report = session->report();
       res.factor_vtime = session->factor_vtime();
-      res.solve_vtime = session->solve_vtimes().back();
+      res.solve_vtime = session->last_solve_vtime();
       res.outcomes = session->outcomes();
       degraded = session->degraded();
       pivot_growth = session->pivot_growth();
@@ -949,6 +949,7 @@ int main(int argc, char** argv) {
       obs::Json outcomes = obs::Json::array();
       for (const auto& o : res.outcomes) outcomes.push(outcome_json(o));
       robustness.set("outcomes", std::move(outcomes));
+      robustness.set("ok_solves", session ? session->ok_solves() : std::uint64_t{0});
       obs::Json injected = obs::Json::array();
       for (const auto& e : plan.injected()) injected.push(fault_event_json(e));
       robustness.set("faults_injected", std::move(injected));

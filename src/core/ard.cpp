@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "src/la/blas1.hpp"
 #include "src/la/gemm.hpp"
@@ -41,11 +43,6 @@ BlockTridiag copy_segment(const SysView& sys, la::index_t lo, la::index_t nloc, 
 
 template <typename SysView>
 void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
-  if (opts_.pipeline.lanes > 1 && hi_ - lo_ >= 2) {
-    local_phase_lanes(comm, sys);
-    return;
-  }
-  lanes_.clear();
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.local");
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
@@ -81,41 +78,30 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
 
 template <typename SysView>
 void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
-  if (hierarchical()) {
-    global_phase_lanes(comm, sys);
-    return;
-  }
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.global");
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
 
   // --- 3. Forward and backward two-port prefix scans (the log P term).
-  if (opts_.pipeline.overlap && comm.size() > 1) {
-    // Round-interleaved: both scans keep a message in flight while the
-    // other's O(M^3) merges run, and within each round the partial merge
-    // (which the next send depends on) runs before the prefix merge.
-    // Operand pairs are identical to the serial schedule, so the factored
-    // caches — and every later solve — are bit-identical.
-    typename CachedScan<TwoPortOp>::Factoring ff(comm, ScanDirection::kForward,
-                                                 TwoPortOp::Context{m, ws_}, tp_,
+  // With overlap the two are round-interleaved: both keep a message in
+  // flight while the other's O(M^3) merges run. Without it the backward
+  // scan starts (and posts its round-0 send) only once the forward one has
+  // finished. Operand pairs are the same either way, so the factored caches
+  // — and every later solve — are bit-identical.
+  const TwoPortOp::Context ctx{m, ws_};
+  if (opts_.pipeline.overlap) {
+    typename CachedScan<TwoPortOp>::Factoring ff(comm, ScanDirection::kForward, ctx, tp_,
                                                  ard_tags::kFwdFactor);
-    typename CachedScan<TwoPortOpReversed>::Factoring fb(comm, ScanDirection::kBackward,
-                                                         TwoPortOp::Context{m, ws_}, tp_,
-                                                         ard_tags::kBwdFactor);
-    while (!ff.done() || !fb.done()) {
-      if (!ff.done() && (fb.done() || ff.ready(comm) || !fb.ready(comm))) {
-        ff.finish_round(comm);
-      } else {
-        fb.finish_round(comm);
-      }
-    }
+    typename CachedScan<TwoPortOpReversed>::Factoring fb(comm, ScanDirection::kBackward, ctx,
+                                                         tp_, ard_tags::kBwdFactor);
+    interleave(comm, ff, fb);
     fwd_ = std::move(ff).finish();
     bwd_ = std::move(fb).finish();
   } else {
-    fwd_ = CachedScan<TwoPortOp>::factor(comm, ScanDirection::kForward,
-                                         TwoPortOp::Context{m, ws_}, tp_, ard_tags::kFwdFactor);
-    bwd_ = CachedScan<TwoPortOpReversed>::factor(
-        comm, ScanDirection::kBackward, TwoPortOp::Context{m, ws_}, tp_, ard_tags::kBwdFactor);
+    fwd_ = CachedScan<TwoPortOp>::factor(comm, ScanDirection::kForward, ctx, tp_,
+                                         ard_tags::kFwdFactor);
+    bwd_ = CachedScan<TwoPortOpReversed>::factor(comm, ScanDirection::kBackward, ctx, tp_,
+                                                 ard_tags::kBwdFactor);
   }
 
   // --- 4. Fold the boundary relations into the segment's corner diagonal
@@ -141,188 +127,6 @@ void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
   }
   modified_ = ThomasFactorization::factor(tloc, opts_.pivot);
   comm.charge_flops(ThomasFactorization::factor_flops(nloc, m, opts_.pivot));
-}
-
-template <typename SysView>
-void ArdFactorization::local_phase_lanes(mpsim::Comm& comm, const SysView& sys) {
-  ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.local");
-  const la::index_t m = m_;
-  const la::index_t nloc = hi_ - lo_;
-  const int L = static_cast<int>(
-      std::min<la::index_t>(static_cast<la::index_t>(opts_.pipeline.lanes), nloc));
-
-  // --- 1+2 (two-level). Split the segment into L sub-segments ("lanes"),
-  // factor each and compute its two-port independently — par::Pool runs
-  // the lanes in parallel (the flop charge stays on the rank thread, so
-  // ChargedFlops virtual times do not depend on --threads).
-  lanes_.clear();
-  lanes_.resize(static_cast<std::size_t>(L));
-  double lane_flops = 0.0;
-  for (int li = 0; li < L; ++li) {
-    const auto [b, e] = par::Pool::chunk_bounds(0, nloc, li, L);
-    lanes_[static_cast<std::size_t>(li)].lo = b;
-    lanes_[static_cast<std::size_t>(li)].hi = e;
-    lane_flops += ThomasFactorization::factor_flops(e - b, m, opts_.pivot) +
-                  ThomasFactorization::solve_flops(e - b, m, 2 * m);
-  }
-  par::parallel_for(
-      comm.pool(), 0, L,
-      [&](std::int64_t lb, std::int64_t le) {
-        for (std::int64_t li = lb; li < le; ++li) {
-          Lane& ln = lanes_[static_cast<std::size_t>(li)];
-          const la::index_t rows = ln.hi - ln.lo;
-          const BlockTridiag tl = copy_segment(sys, lo_ + ln.lo, rows, m);
-          ln.unmodified = ThomasFactorization::factor(tl, opts_.pivot);
-          Matrix e(rows * m, 2 * m);
-          for (la::index_t i = 0; i < m; ++i) {
-            e(i, i) = 1.0;
-            e((rows - 1) * m + i, m + i) = 1.0;
-          }
-          const Matrix w = ln.unmodified.solve(e, nullptr, nullptr);
-          ln.tp.P = la::to_matrix(w.block(0, 0, m, m));
-          ln.tp.Q = la::to_matrix(w.block(0, m, m, m));
-          ln.tp.R = la::to_matrix(w.block((rows - 1) * m, 0, m, m));
-          ln.tp.S = la::to_matrix(w.block((rows - 1) * m, m, m, m));
-          const la::index_t gfirst = lo_ + ln.lo;
-          const la::index_t glast = lo_ + ln.hi - 1;
-          ln.tp.a_first = (gfirst > 0) ? sys.lower(gfirst) : Matrix(m, m);
-          ln.tp.c_last = (glast + 1 < n_) ? sys.upper(glast) : Matrix(m, m);
-          ln.a_first = ln.tp.a_first;
-          ln.c_last = ln.tp.c_last;
-        }
-      },
-      "ard.lane.factor");
-  comm.charge_flops(lane_flops);
-
-  // Chain the lane two-ports into the rank two-port (serial, deterministic
-  // association), caching every merge so solve can replay the chains with
-  // vector parts. fpre_[i] covers lanes [0, i); bsuf_[i] covers [i, L).
-  fpre_.assign(static_cast<std::size_t>(L), TwoPort{});
-  bsuf_.assign(static_cast<std::size_t>(L), TwoPort{});
-  fchain_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
-  bchain_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
-  TwoPort cur = lanes_[0].tp;
-  for (int i = 1; i < L; ++i) {
-    fpre_[static_cast<std::size_t>(i)] = std::move(cur);
-    cur = merge_twoport(fpre_[static_cast<std::size_t>(i)],
-                        lanes_[static_cast<std::size_t>(i)].tp,
-                        fchain_cache_[static_cast<std::size_t>(i)], comm, ws_);
-  }
-  tp_ = std::move(cur);
-  TwoPort scur = lanes_[static_cast<std::size_t>(L - 1)].tp;
-  for (int i = L - 2; i >= 1; --i) {
-    bsuf_[static_cast<std::size_t>(i + 1)] = std::move(scur);
-    scur = merge_twoport(lanes_[static_cast<std::size_t>(i)].tp,
-                         bsuf_[static_cast<std::size_t>(i + 1)],
-                         bchain_cache_[static_cast<std::size_t>(i)], comm, ws_);
-  }
-  bsuf_[1] = std::move(scur);
-
-  a_lo_ = lanes_.front().a_first;
-  c_hi_ = lanes_.back().c_last;
-}
-
-template <typename SysView>
-void ArdFactorization::global_phase_lanes(mpsim::Comm& comm, const SysView& sys) {
-  ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.global");
-  const la::index_t m = m_;
-  const int L = static_cast<int>(lanes_.size());
-
-  // --- 3. Cross-rank scans over the *rank* two-port: same wire protocol
-  // and round count as the flat algorithm — the hierarchy only changed how
-  // the rank two-port was produced.
-  if (opts_.pipeline.overlap && comm.size() > 1) {
-    typename CachedScan<TwoPortOp>::Factoring ff(comm, ScanDirection::kForward,
-                                                 TwoPortOp::Context{m, ws_}, tp_,
-                                                 ard_tags::kFwdFactor);
-    typename CachedScan<TwoPortOpReversed>::Factoring fb(comm, ScanDirection::kBackward,
-                                                         TwoPortOp::Context{m, ws_}, tp_,
-                                                         ard_tags::kBwdFactor);
-    while (!ff.done() || !fb.done()) {
-      if (!ff.done() && (fb.done() || ff.ready(comm) || !fb.ready(comm))) {
-        ff.finish_round(comm);
-      } else {
-        fb.finish_round(comm);
-      }
-    }
-    fwd_ = std::move(ff).finish();
-    bwd_ = std::move(fb).finish();
-  } else {
-    fwd_ = CachedScan<TwoPortOp>::factor(comm, ScanDirection::kForward,
-                                         TwoPortOp::Context{m, ws_}, tp_, ard_tags::kFwdFactor);
-    bwd_ = CachedScan<TwoPortOpReversed>::factor(
-        comm, ScanDirection::kBackward, TwoPortOp::Context{m, ws_}, tp_, ard_tags::kBwdFactor);
-  }
-
-  // --- 4 (two-level). Each lane folds its *effective* boundary relations:
-  // the prefix covering every row before the lane is (cross-rank prefix)
-  // merged with (local lanes [0, i)), and symmetrically for the suffix.
-  // The mix merges are cached so solve can replay them per panel.
-  pre_mix_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
-  suf_mix_cache_.assign(static_cast<std::size_t>(L), TwoPortCache{});
-  std::vector<BlockTridiag> mods;
-  mods.reserve(static_cast<std::size_t>(L));
-  double lane_flops = 0.0;
-  for (int i = 0; i < L; ++i) {
-    Lane& ln = lanes_[static_cast<std::size_t>(i)];
-    const la::index_t rows = ln.hi - ln.lo;
-    BlockTridiag t = copy_segment(sys, lo_ + ln.lo, rows, m);
-
-    const TwoPort* pre = nullptr;
-    TwoPort pre_mix;
-    if (fwd_.has_incoming()) {
-      if (i == 0) {
-        pre = &fwd_.incoming_mat();
-      } else {
-        pre_mix = merge_twoport(fwd_.incoming_mat(), fpre_[static_cast<std::size_t>(i)],
-                                pre_mix_cache_[static_cast<std::size_t>(i)], comm, ws_);
-        pre = &pre_mix;
-      }
-    } else if (i > 0) {
-      pre = &fpre_[static_cast<std::size_t>(i)];
-    }
-    if (pre != nullptr) {
-      Matrix as = la::ws_acquire(ws_, m, m);
-      la::gemm(1.0, ln.a_first.view(), pre->S.view(), 0.0, as.view());
-      la::gemm(-1.0, as.view(), pre->c_last.view(), 1.0, t.diag(0).view());
-      la::ws_release(ws_, std::move(as));
-      comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
-    }
-
-    const TwoPort* suf = nullptr;
-    TwoPort suf_mix;
-    if (bwd_.has_incoming()) {
-      if (i == L - 1) {
-        suf = &bwd_.incoming_mat();
-      } else {
-        suf_mix = merge_twoport(bsuf_[static_cast<std::size_t>(i + 1)], bwd_.incoming_mat(),
-                                suf_mix_cache_[static_cast<std::size_t>(i)], comm, ws_);
-        suf = &suf_mix;
-      }
-    } else if (i + 1 < L) {
-      suf = &bsuf_[static_cast<std::size_t>(i + 1)];
-    }
-    if (suf != nullptr) {
-      Matrix cp = la::ws_acquire(ws_, m, m);
-      la::gemm(1.0, ln.c_last.view(), suf->P.view(), 0.0, cp.view());
-      la::gemm(-1.0, cp.view(), suf->a_first.view(), 1.0, t.diag(rows - 1).view());
-      la::ws_release(ws_, std::move(cp));
-      comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
-    }
-
-    mods.push_back(std::move(t));
-    lane_flops += ThomasFactorization::factor_flops(rows, m, opts_.pivot);
-  }
-  par::parallel_for(
-      comm.pool(), 0, L,
-      [&](std::int64_t lb, std::int64_t le) {
-        for (std::int64_t li = lb; li < le; ++li) {
-          lanes_[static_cast<std::size_t>(li)].modified =
-              ThomasFactorization::factor(mods[static_cast<std::size_t>(li)], opts_.pivot);
-        }
-      },
-      "ard.lane.refactor");
-  comm.charge_flops(lane_flops);
 }
 
 template <typename SysView>
@@ -394,71 +198,6 @@ void ArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix&
 }
 
 la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_local) const {
-  // Dispatch on the global options only, never on hierarchical():
-  // lane construction is rank-local (a rank needs >= 2 block rows), so on
-  // an uneven partition some ranks may have no lanes while others do. The
-  // flat path replays with the fixed kFwdSolve/kBwdSolve tags, the panels
-  // path with dynamic per-panel tags — a mixed fleet would wait on tags
-  // its scan partner never sends. solve_local_panels degenerates
-  // correctly to the single-lane segment when this rank built no lanes.
-  const PipelineOptions& pl = opts_.pipeline;
-  if (pl.lanes <= 1 && !pl.overlap && pl.chunk_cols <= 0) {
-    return solve_local_flat(comm, b_local);
-  }
-  return solve_local_panels(comm, b_local);
-}
-
-la::Matrix ArdFactorization::solve_local_flat(mpsim::Comm& comm,
-                                              const la::Matrix& b_local) const {
-  ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.solve");
-  const la::index_t m = m_;
-  const la::index_t nloc = hi_ - lo_;
-  const la::index_t r = b_local.cols();
-  assert(b_local.rows() == nloc * m);
-
-  Matrix bloc = la::ws_acquire(ws_, b_local.rows(), b_local.cols());
-  la::copy(b_local.view(), bloc.view());
-  par::Pool* pool = comm.pool();
-
-  if (comm.size() > 1) {
-    // Segment vector two-port: first/last blocks of T_loc^{-1} b_loc.
-    Matrix t = unmodified_.solve(bloc, pool, ws_);
-    comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, r));
-    TwoPortVec v{.p = la::ws_acquire(ws_, m, r), .q = la::ws_acquire(ws_, m, r)};
-    la::copy(t.block(0, 0, m, r), v.p.view());
-    la::copy(t.block((nloc - 1) * m, 0, m, r), v.q.view());
-    la::ws_release(ws_, std::move(t));
-
-    // The forward replay consumes its own copy of v (the seed path passed
-    // v by value); the backward replay consumes v itself.
-    TwoPortVec v_fwd{.p = la::ws_acquire(ws_, m, r), .q = la::ws_acquire(ws_, m, r)};
-    la::copy(v.p.view(), v_fwd.p.view());
-    la::copy(v.q.view(), v_fwd.q.view());
-    std::optional<TwoPortVec> pre = fwd_.solve(comm, std::move(v_fwd), ard_tags::kFwdSolve);
-    std::optional<TwoPortVec> suf = bwd_.solve(comm, std::move(v), ard_tags::kBwdSolve);
-
-    // Boundary corrections: b'_lo -= A_lo q_pre, b'_{hi-1} -= C_{hi-1} p_suf.
-    if (pre) {
-      la::gemm(-1.0, a_lo_.view(), pre->q.view(), 1.0, bloc.block(0, 0, m, r), pool);
-      comm.charge_flops(la::gemm_flops(m, r, m));
-      TwoPortOp::recycle_vec(TwoPortOp::Context{m, ws_}, std::move(*pre));
-    }
-    if (suf) {
-      la::gemm(-1.0, c_hi_.view(), suf->p.view(), 1.0, bloc.block((nloc - 1) * m, 0, m, r),
-               pool);
-      comm.charge_flops(la::gemm_flops(m, r, m));
-      TwoPortOp::recycle_vec(TwoPortOp::Context{m, ws_}, std::move(*suf));
-    }
-  }
-
-  Matrix xloc = modified_.solve(bloc, pool, ws_);
-  comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, r));
-  la::ws_release(ws_, std::move(bloc));
-  return xloc;
-}
-
-la::Matrix ArdFactorization::solve_local_panels(mpsim::Comm& comm,
-                                                const la::Matrix& b_local) const {
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.solve");
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
@@ -466,11 +205,8 @@ la::Matrix ArdFactorization::solve_local_panels(mpsim::Comm& comm,
   assert(b_local.rows() == nloc * m);
   par::Pool* pool = comm.pool();
   const TwoPortOp::Context ctx{m, ws_};
-  const int L = static_cast<int>(lanes_.size());
   const bool dist = comm.size() > 1;
   const bool overlap = opts_.pipeline.overlap;
-
-  Matrix xloc = la::ws_acquire(ws_, nloc * m, r);
 
   // RHS panels. chunk_cols == 0 (or >= R) degenerates to one panel, which
   // still exercises the round-interleaved replay when overlap is on.
@@ -482,10 +218,7 @@ la::Matrix ArdFactorization::solve_local_panels(mpsim::Comm& comm,
     Matrix bloc;
     typename CachedScan<TwoPortOp>::Replay fwd;
     typename CachedScan<TwoPortOpReversed>::Replay bwd;
-    // Hierarchical per-panel vector parts (see local_phase_lanes):
-    std::vector<TwoPortVec> lv;   ///< lane segment vecs
-    std::vector<TwoPortVec> lpv;  ///< [i]: local prefix of lanes [0, i), i >= 1
-    std::vector<TwoPortVec> lsv;  ///< [i]: local suffix of lanes [i, L), i >= 1
+    std::optional<TwoPortVec> pre, suf;  ///< exclusive prefix / suffix vector parts
   };
   std::vector<Panel> panels;
   for (la::index_t c0 = 0; c0 < r; c0 += chunk) {
@@ -494,59 +227,10 @@ la::Matrix ArdFactorization::solve_local_panels(mpsim::Comm& comm,
     p.cols = std::min(chunk, r - c0);
     panels.push_back(std::move(p));
   }
-
-  const auto clone_vec = [&](const TwoPortVec& v) {
-    TwoPortVec c{.p = la::ws_acquire(ws_, v.p.rows(), v.p.cols()),
-                 .q = la::ws_acquire(ws_, v.q.rows(), v.q.cols())};
-    la::copy(v.p.view(), c.p.view());
-    la::copy(v.q.view(), c.q.view());
-    return c;
-  };
-
-  /// Per-lane unmodified solves (pool-parallel) plus the serial replay of
-  /// the factored lane chains; returns the whole segment's vector part.
-  const auto local_reduce_lanes = [&](Panel& p) {
-    p.lv.assign(static_cast<std::size_t>(L), TwoPortVec{});
-    double flops = 0.0;
-    par::parallel_for(
-        pool, 0, L,
-        [&](std::int64_t lb, std::int64_t le) {
-          for (std::int64_t li = lb; li < le; ++li) {
-            const Lane& ln = lanes_[static_cast<std::size_t>(li)];
-            const la::index_t rows = ln.hi - ln.lo;
-            const Matrix bl = la::to_matrix(p.bloc.block(ln.lo * m, 0, rows * m, p.cols));
-            const Matrix t = ln.unmodified.solve(bl, nullptr, nullptr);
-            TwoPortVec& v = p.lv[static_cast<std::size_t>(li)];
-            v.p = la::to_matrix(t.block(0, 0, m, p.cols));
-            v.q = la::to_matrix(t.block((rows - 1) * m, 0, m, p.cols));
-          }
-        },
-        "ard.lane.reduce");
-    for (const Lane& ln : lanes_) {
-      flops += ThomasFactorization::solve_flops(ln.hi - ln.lo, m, p.cols);
-    }
-    comm.charge_flops(flops);
-
-    p.lpv.assign(static_cast<std::size_t>(L), TwoPortVec{});
-    p.lsv.assign(static_cast<std::size_t>(L), TwoPortVec{});
-    for (int i = 1; i < L; ++i) {
-      p.lpv[static_cast<std::size_t>(i)] =
-          (i == 1) ? clone_vec(p.lv[0])
-                   : merge_twoport_vec(fchain_cache_[static_cast<std::size_t>(i - 1)],
-                                       p.lpv[static_cast<std::size_t>(i - 1)],
-                                       p.lv[static_cast<std::size_t>(i - 1)], comm, ws_);
-    }
-    for (int i = L - 1; i >= 1; --i) {
-      p.lsv[static_cast<std::size_t>(i)] =
-          (i == L - 1) ? clone_vec(p.lv[static_cast<std::size_t>(L - 1)])
-                       : merge_twoport_vec(bchain_cache_[static_cast<std::size_t>(i)],
-                                           p.lv[static_cast<std::size_t>(i)],
-                                           p.lsv[static_cast<std::size_t>(i + 1)], comm, ws_);
-    }
-    return merge_twoport_vec(fchain_cache_[static_cast<std::size_t>(L - 1)],
-                             p.lpv[static_cast<std::size_t>(L - 1)],
-                             p.lv[static_cast<std::size_t>(L - 1)], comm, ws_);
-  };
+  // A single panel's modified-segment solve IS the result; only a chunked
+  // solve needs a separate buffer to assemble its panels into.
+  const bool single = panels.size() == 1;
+  Matrix xloc = single ? Matrix{} : la::ws_acquire(ws_, nloc * m, r);
 
   /// A-step: copy the panel, run its rank-local reduction, and (overlap
   /// mode) put both round-0 sends on the wire. No receives — so a rank may
@@ -554,25 +238,20 @@ la::Matrix ArdFactorization::solve_local_panels(mpsim::Comm& comm,
   const auto start_panel = [&](Panel& p) {
     p.bloc = la::ws_acquire(ws_, nloc * m, p.cols);
     la::copy(b_local.block(0, p.col0, nloc * m, p.cols), p.bloc.view());
-    if (!dist && L <= 1) return;
-    TwoPortVec v;
-    if (L > 1) {
-      v = local_reduce_lanes(p);
-      if (!dist) {
-        TwoPortOp::recycle_vec(ctx, std::move(v));
-        return;
-      }
-    } else {
-      Matrix t = unmodified_.solve(p.bloc, pool, ws_);
-      comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, p.cols));
-      v = TwoPortVec{.p = la::ws_acquire(ws_, m, p.cols), .q = la::ws_acquire(ws_, m, p.cols)};
-      la::copy(t.block(0, 0, m, p.cols), v.p.view());
-      la::copy(t.block((nloc - 1) * m, 0, m, p.cols), v.q.view());
-      la::ws_release(ws_, std::move(t));
-    }
+    if (!dist) return;
+    // Segment vector two-port: first/last blocks of T_loc^{-1} b_loc.
+    Matrix t = unmodified_.solve(p.bloc, pool, ws_);
+    comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, p.cols));
+    TwoPortVec v{.p = la::ws_acquire(ws_, m, p.cols), .q = la::ws_acquire(ws_, m, p.cols)};
+    la::copy(t.block(0, 0, m, p.cols), v.p.view());
+    la::copy(t.block((nloc - 1) * m, 0, m, p.cols), v.q.view());
+    la::ws_release(ws_, std::move(t));
+    // The forward replay consumes a copy of v; the backward one v itself.
+    TwoPortVec v_fwd{.p = la::ws_acquire(ws_, m, p.cols), .q = la::ws_acquire(ws_, m, p.cols)};
+    la::copy(v.p.view(), v_fwd.p.view());
+    la::copy(v.q.view(), v_fwd.q.view());
     // Dynamic tags: one pair per in-flight panel, registry-enforced. The
     // schedule is SPMD-symmetric, so every rank picks the same pair.
-    TwoPortVec v_fwd = clone_vec(v);
     const int ftag = comm.next_tag();
     p.fwd = typename CachedScan<TwoPortOp>::Replay(fwd_, comm, std::move(v_fwd), ftag);
     const int btag = comm.next_tag();
@@ -585,140 +264,46 @@ la::Matrix ArdFactorization::solve_local_panels(mpsim::Comm& comm,
 
   /// B-step: run the panel's replays to completion. Overlap mode
   /// round-interleaves the two scans, finishing whichever round's message
-  /// is already visible on the virtual clock; off mode reproduces the
-  /// serial forward-then-backward schedule exactly.
+  /// is already visible on the virtual clock; off mode runs the forward
+  /// replay, then the backward one.
   const auto drain_panel = [&](Panel& p) {
     if (!dist) return;
     if (overlap) {
-      while (!p.fwd.done() || !p.bwd.done()) {
-        if (!p.fwd.done() && (p.bwd.done() || p.fwd.ready(comm) || !p.bwd.ready(comm))) {
-          p.fwd.finish_round(comm);
-        } else {
-          p.bwd.finish_round(comm);
-        }
-      }
+      interleave(comm, p.fwd, p.bwd);
+      p.pre = std::move(p.fwd).take_result();
+      p.suf = std::move(p.bwd).take_result();
     } else {
-      p.fwd.begin(comm);
-      while (!p.fwd.done()) p.fwd.finish_round(comm);
-      p.bwd.begin(comm);
-      while (!p.bwd.done()) p.bwd.finish_round(comm);
+      p.pre = std::move(p.fwd).run(comm);
+      p.suf = std::move(p.bwd).run(comm);
     }
   };
 
-  /// Hierarchical C-step: per lane, merge the effective boundary vector
-  /// parts (cross-rank ⊕ local chains, replaying the factor-time mix
-  /// caches), apply the corrections, and solve the modified lanes.
-  const auto finish_lanes = [&](Panel& p, std::optional<TwoPortVec> pre_opt,
-                                std::optional<TwoPortVec> suf_opt) {
-    for (int i = 0; i < L; ++i) {
-      const Lane& ln = lanes_[static_cast<std::size_t>(i)];
-      const TwoPortVec* pre = nullptr;
-      TwoPortVec pre_own;
-      bool owns_pre = false;
-      if (pre_opt) {
-        if (i == 0) {
-          pre = &*pre_opt;
-        } else {
-          pre_own = merge_twoport_vec(pre_mix_cache_[static_cast<std::size_t>(i)], *pre_opt,
-                                      p.lpv[static_cast<std::size_t>(i)], comm, ws_);
-          pre = &pre_own;
-          owns_pre = true;
-        }
-      } else if (i > 0) {
-        pre = &p.lpv[static_cast<std::size_t>(i)];
-      }
-      if (pre != nullptr) {
-        la::gemm(-1.0, ln.a_first.view(), pre->q.view(), 1.0,
-                 p.bloc.block(ln.lo * m, 0, m, p.cols), pool);
-        comm.charge_flops(la::gemm_flops(m, p.cols, m));
-      }
-      if (owns_pre) TwoPortOp::recycle_vec(ctx, std::move(pre_own));
-
-      const TwoPortVec* suf = nullptr;
-      TwoPortVec suf_own;
-      bool owns_suf = false;
-      if (suf_opt) {
-        if (i == L - 1) {
-          suf = &*suf_opt;
-        } else {
-          suf_own = merge_twoport_vec(suf_mix_cache_[static_cast<std::size_t>(i)],
-                                      p.lsv[static_cast<std::size_t>(i + 1)], *suf_opt, comm,
-                                      ws_);
-          suf = &suf_own;
-          owns_suf = true;
-        }
-      } else if (i + 1 < L) {
-        suf = &p.lsv[static_cast<std::size_t>(i + 1)];
-      }
-      if (suf != nullptr) {
-        la::gemm(-1.0, ln.c_last.view(), suf->p.view(), 1.0,
-                 p.bloc.block((ln.hi - 1) * m, 0, m, p.cols), pool);
-        comm.charge_flops(la::gemm_flops(m, p.cols, m));
-      }
-      if (owns_suf) TwoPortOp::recycle_vec(ctx, std::move(suf_own));
-    }
-    if (pre_opt) TwoPortOp::recycle_vec(ctx, std::move(*pre_opt));
-    if (suf_opt) TwoPortOp::recycle_vec(ctx, std::move(*suf_opt));
-
-    double flops = 0.0;
-    par::parallel_for(
-        pool, 0, L,
-        [&](std::int64_t lb, std::int64_t le) {
-          for (std::int64_t li = lb; li < le; ++li) {
-            const Lane& ln = lanes_[static_cast<std::size_t>(li)];
-            const la::index_t rows = ln.hi - ln.lo;
-            const Matrix bl = la::to_matrix(p.bloc.block(ln.lo * m, 0, rows * m, p.cols));
-            const Matrix xl = ln.modified.solve(bl, nullptr, nullptr);
-            la::copy(xl.view(), xloc.block(ln.lo * m, p.col0, rows * m, p.cols));
-          }
-        },
-        "ard.lane.backsolve");
-    for (const Lane& ln : lanes_) {
-      flops += ThomasFactorization::solve_flops(ln.hi - ln.lo, m, p.cols);
-    }
-    comm.charge_flops(flops);
-
-    for (int i = 1; i < L; ++i) {
-      TwoPortOp::recycle_vec(ctx, std::move(p.lpv[static_cast<std::size_t>(i)]));
-      TwoPortOp::recycle_vec(ctx, std::move(p.lsv[static_cast<std::size_t>(i)]));
-    }
-    p.lv.clear();
-    p.lpv.clear();
-    p.lsv.clear();
-  };
-
-  /// C-step: harvest the replays, apply boundary corrections, back-solve
-  /// the modified segment, and write the panel's slice of the result.
+  /// C-step: apply the boundary corrections b'_lo -= A_lo q_pre and
+  /// b'_{hi-1} -= C_{hi-1} p_suf, then back-solve the modified segment.
   const auto finish_panel = [&](Panel& p) {
-    std::optional<TwoPortVec> pre;
-    std::optional<TwoPortVec> suf;
-    if (dist) {
-      pre = std::move(p.fwd).take_result();
-      suf = std::move(p.bwd).take_result();
+    if (p.pre) {
+      la::gemm(-1.0, a_lo_.view(), p.pre->q.view(), 1.0, p.bloc.block(0, 0, m, p.cols), pool);
+      comm.charge_flops(la::gemm_flops(m, p.cols, m));
+      TwoPortOp::recycle_vec(ctx, std::move(*p.pre));
     }
-    if (L > 1) {
-      finish_lanes(p, std::move(pre), std::move(suf));
+    if (p.suf) {
+      la::gemm(-1.0, c_hi_.view(), p.suf->p.view(), 1.0,
+               p.bloc.block((nloc - 1) * m, 0, m, p.cols), pool);
+      comm.charge_flops(la::gemm_flops(m, p.cols, m));
+      TwoPortOp::recycle_vec(ctx, std::move(*p.suf));
+    }
+    Matrix xp = modified_.solve(p.bloc, pool, ws_);
+    comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, p.cols));
+    la::ws_release(ws_, std::move(p.bloc));
+    if (single) {
+      xloc = std::move(xp);
     } else {
-      if (pre) {
-        la::gemm(-1.0, a_lo_.view(), pre->q.view(), 1.0, p.bloc.block(0, 0, m, p.cols), pool);
-        comm.charge_flops(la::gemm_flops(m, p.cols, m));
-        TwoPortOp::recycle_vec(ctx, std::move(*pre));
-      }
-      if (suf) {
-        la::gemm(-1.0, c_hi_.view(), suf->p.view(), 1.0,
-                 p.bloc.block((nloc - 1) * m, 0, m, p.cols), pool);
-        comm.charge_flops(la::gemm_flops(m, p.cols, m));
-        TwoPortOp::recycle_vec(ctx, std::move(*suf));
-      }
-      Matrix xp = modified_.solve(p.bloc, pool, ws_);
-      comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, p.cols));
       la::copy(xp.view(), xloc.block(0, p.col0, nloc * m, p.cols));
       la::ws_release(ws_, std::move(xp));
     }
-    la::ws_release(ws_, std::move(p.bloc));
   };
 
-  if (overlap && panels.size() > 1) {
+  if (overlap && !single) {
     // Software pipeline: panel k+1's A-step (local reduction + round-0
     // sends, no receives) runs while panel k's replies are in flight, so
     // its compute is what the receiver's clock advances on instead of
@@ -748,36 +333,6 @@ std::size_t ArdFactorization::storage_bytes() const {
                                                  tp_.S.size() + tp_.a_first.size() +
                                                  tp_.c_last.size()) *
                         sizeof(double);
-  const auto mat_bytes = [](const la::Matrix& a) {
-    return static_cast<std::size_t>(a.size()) * sizeof(double);
-  };
-  const auto tp_size = [&](const TwoPort& t) {
-    return mat_bytes(t.P) + mat_bytes(t.Q) + mat_bytes(t.R) + mat_bytes(t.S) +
-           mat_bytes(t.a_first) + mat_bytes(t.c_last);
-  };
-  const auto cache_size = [&](const TwoPortCache& c) {
-    return mat_bytes(c.x1) + mat_bytes(c.x2) + mat_bytes(c.x3) + mat_bytes(c.x4);
-  };
-  if (hierarchical()) {
-    // Lane factorizations replace the two flat segment factorizations.
-    // Everything the solve replay retains — lane two-ports, the fpre_/
-    // bsuf_ prefix/suffix chains, and the chain/mix merge caches — is
-    // summed at its actual size so budget-based admission sees the same
-    // fidelity as the flat path.
-    std::size_t lane_bytes = 0;
-    for (const Lane& ln : lanes_) {
-      lane_bytes += ln.unmodified.storage_bytes() + ln.modified.storage_bytes() +
-                    tp_size(ln.tp) + mat_bytes(ln.a_first) + mat_bytes(ln.c_last);
-    }
-    for (const TwoPort& t : fpre_) lane_bytes += tp_size(t);
-    for (const TwoPort& t : bsuf_) lane_bytes += tp_size(t);
-    for (const TwoPortCache& c : fchain_cache_) lane_bytes += cache_size(c);
-    for (const TwoPortCache& c : bchain_cache_) lane_bytes += cache_size(c);
-    for (const TwoPortCache& c : pre_mix_cache_) lane_bytes += cache_size(c);
-    for (const TwoPortCache& c : suf_mix_cache_) lane_bytes += cache_size(c);
-    return lane_bytes + scan_cache(fwd_.num_rounds()) + scan_cache(bwd_.num_rounds()) +
-           tp_bytes + static_cast<std::size_t>(a_lo_.size() + c_hi_.size()) * sizeof(double);
-  }
   return unmodified_.storage_bytes() + modified_.storage_bytes() +
          scan_cache(fwd_.num_rounds()) + scan_cache(bwd_.num_rounds()) + tp_bytes +
          static_cast<std::size_t>(a_lo_.size() + c_hi_.size()) * sizeof(double);

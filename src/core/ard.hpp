@@ -1,8 +1,5 @@
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "src/btds/block_tridiag.hpp"
 #include "src/btds/distributed.hpp"
 #include "src/btds/partition.hpp"
@@ -54,14 +51,14 @@ namespace ardbt::core {
 namespace ard_tags {
 inline constexpr int kFwdFactor = 70;
 inline constexpr int kBwdFactor = 71;
-inline constexpr int kFwdSolve = 72;
-inline constexpr int kBwdSolve = 73;
+// Solve-phase replays claim a fresh comm.next_tag() pair per RHS panel.
 }  // namespace ard_tags
 
 /// Latency-hiding pipeline knobs (docs/PARALLELISM.md, "Latency-hiding
-/// pipeline"). Everything defaults off: the default path is byte-identical
-/// — solutions AND virtual times — to the pre-pipeline solver, so all
-/// committed baselines stay valid and the pipeline is a pure opt-in.
+/// pipeline"). Both are pure scheduling choices on the one stepwise scan
+/// schedule: solutions are bit-identical for every setting, and only
+/// virtual waits change. The defaults run the forward scan, then the
+/// backward scan, over one panel of all R columns.
 struct PipelineOptions {
   /// Overlap scan communication with compute. In the solve phase, RHS
   /// panels are pipelined: the rank-local reduction of panel k+1 runs
@@ -77,16 +74,6 @@ struct PipelineOptions {
   /// Meaningful overlap needs at least two panels (chunk_cols < R); see
   /// docs/PARALLELISM.md for sizing guidance.
   la::index_t chunk_cols = 0;
-  /// Two-level hierarchical scan: split this rank's segment into `lanes`
-  /// sub-segments factored/reduced independently (par::Pool runs them in
-  /// parallel) and chained into the rank two-port locally, so the wall
-  /// clock of the O(M^3 N/P) local reduction drops while the cross-rank
-  /// scan keeps its log P rounds and wire protocol. 1 = flat.
-  /// Hierarchical solutions are numerically equivalent but NOT
-  /// bit-identical to the flat elimination order (it is a different —
-  /// equally stable — bracketing of the same prefix), and they are still
-  /// bit-identical across --threads/chunk/overlap for a fixed `lanes`.
-  int lanes = 1;
 };
 
 /// Solver knobs.
@@ -107,7 +94,7 @@ struct ArdOptions {
   /// compares pivot magnitudes already computed — it never charges flops,
   /// so modeled virtual times are unchanged by any threshold.
   double breakdown_growth_threshold = 1e12;
-  /// Latency-hiding pipeline (overlap / RHS chunking / hierarchical scan).
+  /// Latency-hiding pipeline (overlap / RHS chunking).
   PipelineOptions pipeline{};
 };
 
@@ -169,14 +156,6 @@ class ArdFactorization {
   /// the breakdown monitor the drivers compare against
   /// ArdOptions::breakdown_growth_threshold.
   fault::PivotDiagnostics diagnostics() const {
-    if (!lanes_.empty()) {
-      fault::PivotDiagnostics d = lanes_.front().unmodified.pivot_diagnostics();
-      for (const Lane& ln : lanes_) {
-        d.merge(ln.unmodified.pivot_diagnostics());
-        d.merge(ln.modified.pivot_diagnostics());
-      }
-      return d;
-    }
     fault::PivotDiagnostics d = unmodified_.pivot_diagnostics();
     d.merge(modified_.pivot_diagnostics());
     return d;
@@ -196,31 +175,6 @@ class ArdFactorization {
   void local_phase(mpsim::Comm& comm, const SysView& sys);
   template <typename SysView>
   void global_phase(mpsim::Comm& comm, const SysView& sys);
-  template <typename SysView>
-  void local_phase_lanes(mpsim::Comm& comm, const SysView& sys);
-  template <typename SysView>
-  void global_phase_lanes(mpsim::Comm& comm, const SysView& sys);
-
-  /// Legacy serial solve path — byte-identical (solutions and virtual
-  /// times) to the pre-pipeline solver; taken when every pipeline knob is
-  /// at its default.
-  la::Matrix solve_local_flat(mpsim::Comm& comm, const la::Matrix& b_local) const;
-  /// Panel-pipelined / hierarchical solve path.
-  la::Matrix solve_local_panels(mpsim::Comm& comm, const la::Matrix& b_local) const;
-
-  /// Two-level scan active (PipelineOptions::lanes clamped to the local
-  /// segment produced more than one sub-segment).
-  bool hierarchical() const { return lanes_.size() > 1; }
-
-  /// One sub-segment of the two-level hierarchical scan.
-  struct Lane {
-    la::index_t lo = 0, hi = 0;  ///< block-row range within this segment
-    btds::ThomasFactorization unmodified;
-    btds::ThomasFactorization modified;  ///< with lane-boundary-folded corners
-    TwoPort tp;
-    la::Matrix a_first;  ///< A of the lane's first global row (zero on row 0)
-    la::Matrix c_last;   ///< C of the lane's last global row (zero on row N-1)
-  };
 
   int rank_ = 0;
   ArdOptions opts_{};
@@ -237,17 +191,6 @@ class ArdFactorization {
   la::Matrix c_hi_;                       // C_{hi-1} (zero on rank owning row N-1)
   CachedScan<TwoPortOp> fwd_;
   CachedScan<TwoPortOpReversed> bwd_;
-
-  /// Hierarchical-scan state (empty when lanes == 1). The local prefix /
-  /// suffix chains are merged once at factor time; solve replays them with
-  /// the cached merge matrices, exactly like the cross-rank scans.
-  std::vector<Lane> lanes_;
-  std::vector<TwoPort> fpre_;  ///< fpre_[i]: two-port of lanes [0, i), i >= 1
-  std::vector<TwoPort> bsuf_;  ///< bsuf_[i]: two-port of lanes [i, L), i >= 1
-  std::vector<TwoPortCache> fchain_cache_;    ///< [i]: merge(fpre_[i], lane i)
-  std::vector<TwoPortCache> bchain_cache_;    ///< [i]: merge(lane i, bsuf_[i+1])
-  std::vector<TwoPortCache> pre_mix_cache_;   ///< [i]: merge(cross-rank pre, fpre_[i])
-  std::vector<TwoPortCache> suf_mix_cache_;   ///< [i]: merge(bsuf_[i+1], cross-rank suf)
 };
 
 }  // namespace ardbt::core

@@ -41,7 +41,7 @@
 ///     // with different widths replay the same factored scan.
 ///     static Vec des_vec(const Context&, std::span<const std::byte>);
 ///     // Optional: reclaim a consumed vector part (e.g. return arena
-///     // storage). Called by solve() the moment a Vec's value is dead.
+///     // storage). Called by Replay the moment a Vec's value is dead.
 ///     static void recycle_vec(const Context&, Vec&&);
 ///   };
 ///
@@ -66,85 +66,21 @@ class CachedScan {
   /// total. Collective. `tag` must be unique per in-flight scan — enforced
   /// through the rank's tag registry: a collision throws
   /// fault::TagCollisionError instead of silently cross-matching messages.
+  /// Drives one Factoring to completion.
   static CachedScan factor(mpsim::Comm& comm, ScanDirection dir, Context ctx, Mat seg, int tag) {
     ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase,
                      dir == ScanDirection::kForward ? "scan.factor.fwd" : "scan.factor.bwd");
-    mpsim::TagGuard guard(comm, tag);
-    CachedScan scan;
-    scan.dir_ = dir;
-    scan.ctx_ = ctx;
-    const int size = comm.size();
-    const int seq = seq_of(comm.rank(), size, dir);
-
-    Mat partial = std::move(seg);
-    std::optional<Mat> result;
-
-    for (const mpsim::ScanStep& step : mpsim::exscan_schedule(seq, size)) {
-      Round round;
-      round.partner = rank_of(step.partner, size, dir);
-      round.partner_is_lower = step.partner_is_lower;
-
-      comm.send_bytes(round.partner, tag, Op::ser_mat(ctx, partial));
-      const auto raw = comm.recv_bytes(round.partner, tag);
-      Mat tmp = Op::des_mat(ctx, raw);
-
-      if (step.partner_is_lower) {
-        round.result_was_set = result.has_value();
-        if (result) {
-          round.cache_result.emplace();
-          result = Op::merge_mat(ctx, tmp, *result, *round.cache_result, comm);
-        }
-        Mat merged = Op::merge_mat(ctx, tmp, partial, round.cache_partial, comm);
-        partial = std::move(merged);
-        if (!round.result_was_set) result = std::move(tmp);
-      } else {
-        partial = Op::merge_mat(ctx, partial, tmp, round.cache_partial, comm);
-      }
-      scan.rounds_.push_back(std::move(round));
-    }
-    scan.has_result_ = result.has_value();
-    if (result) scan.result_mat_ = std::move(*result);
-    return scan;
+    Factoring f(comm, dir, std::move(ctx), std::move(seg), tag);
+    while (!f.done()) f.finish_round(comm);
+    return std::move(f).finish();
   }
 
   /// Phase B: replay with this rank's segment vector part. Returns the
   /// exclusive-prefix vector part for this rank, or nullopt on the
   /// sequence-first rank (which has no incoming prefix). Collective.
+  /// Drives one Replay to completion.
   std::optional<Vec> solve(mpsim::Comm& comm, Vec seg_vec, int tag) const {
-    ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase,
-                     dir_ == ScanDirection::kForward ? "scan.replay.fwd" : "scan.replay.bwd");
-    mpsim::TagGuard guard(comm, tag);
-    Vec partial = std::move(seg_vec);
-    std::optional<Vec> result;
-
-    for (const Round& round : rounds_) {
-      comm.send_bytes(round.partner, tag, Op::ser_vec(ctx_, partial));
-      const auto raw = comm.recv_bytes(round.partner, tag);
-      Vec tmp = Op::des_vec(ctx_, raw);
-
-      if (round.partner_is_lower) {
-        if (round.result_was_set) {
-          Vec prev = std::move(*result);
-          result = Op::merge_vec(ctx_, *round.cache_result, tmp, prev, comm);
-          recycle(std::move(prev));
-        }
-        Vec merged = Op::merge_vec(ctx_, round.cache_partial, tmp, partial, comm);
-        recycle(std::move(partial));
-        partial = std::move(merged);
-        if (!round.result_was_set) {
-          result = std::move(tmp);
-        } else {
-          recycle(std::move(tmp));
-        }
-      } else {
-        Vec merged = Op::merge_vec(ctx_, round.cache_partial, partial, tmp, comm);
-        recycle(std::move(partial));
-        recycle(std::move(tmp));
-        partial = std::move(merged);
-      }
-    }
-    recycle(std::move(partial));
-    return result;
+    return Replay(*this, comm, std::move(seg_vec), tag).run(comm);
   }
 
   /// Stepwise replay of the factored schedule — the latency-hiding
@@ -154,10 +90,11 @@ class CachedScan {
   /// the half the *next* send depends on first, puts that send on the wire,
   /// and only then folds the exclusive-prefix half — so the next message
   /// is in flight while the rest of the round's compute (and anything else
-  /// the caller interleaves between rounds) runs. The merge operands are
-  /// identical to the batch solve()'s, so results are bit-identical; only
-  /// virtual waits shrink. The tag is held in the rank's registry for the
-  /// lifetime of the Replay (collision = fault::TagCollisionError).
+  /// the caller interleaves between rounds) runs. The merge operand pairs
+  /// do not depend on how the caller schedules rounds, so results are
+  /// bit-identical under any interleaving; only virtual waits change. The
+  /// tag is held in the rank's registry for the lifetime of the Replay
+  /// (collision = fault::TagCollisionError).
   class Replay {
    public:
     Replay() = default;
@@ -168,8 +105,18 @@ class CachedScan {
 
     /// Post the round-0 send (collective with the peer Replays driving the
     /// same factored scan). Deferring this to an explicit call lets an
-    /// unpipelined driver reproduce the serial schedule exactly.
+    /// unpipelined driver run two replays strictly one after the other.
     void begin(mpsim::Comm& comm) { post_send(comm); }
+
+    /// begin(), every round, take_result(): the whole replay, unpipelined.
+    std::optional<Vec> run(mpsim::Comm& comm) && {
+      ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase,
+                       scan_->dir_ == ScanDirection::kForward ? "scan.replay.fwd"
+                                                              : "scan.replay.bwd");
+      begin(comm);
+      while (!done()) finish_round(comm);
+      return std::move(*this).take_result();
+    }
 
     bool done() const { return scan_ == nullptr || finished_ == scan_->rounds_.size(); }
 
@@ -180,6 +127,9 @@ class CachedScan {
       return !done() && comm.recv_ready(scan_->rounds_[finished_].partner, tag_);
     }
 
+    /// Hypercube level of the next round (valid while !done()).
+    int next_level() const { return scan_->rounds_[finished_].level; }
+
     /// Receive one round and run its merges, next-send-first.
     void finish_round(mpsim::Comm& comm) {
       assert(scan_ != nullptr && sent_ > finished_ && finished_ < scan_->rounds_.size());
@@ -189,8 +139,8 @@ class CachedScan {
       if (round.partner_is_lower) {
         // The next round's outgoing partial needs only the partial merge —
         // do it first and post the send, then fold the exclusive prefix
-        // while that message is in flight. Same operand pairs as the batch
-        // path, so the values (and the replayed caches) are identical.
+        // while that message is in flight. The operand pairs are the ones
+        // Factoring cached, so the values are those of a serial fold.
         Vec merged = Op::merge_vec(scan_->ctx_, round.cache_partial, tmp, partial_, comm);
         scan_->recycle(std::move(partial_));
         partial_ = std::move(merged);
@@ -242,10 +192,11 @@ class CachedScan {
     std::size_t finished_ = 0;
   };
 
-  /// Stepwise factor — the matrix-part counterpart of Replay, used to run
-  /// two scans (forward and backward) round-interleaved so each one's
-  /// merge compute hides the other's in-flight message. Construction posts
-  /// the round-0 send immediately; finish() seals the CachedScan.
+  /// Stepwise factor — the matrix-part counterpart of Replay and the only
+  /// implementation of the factor rounds. factor() drains one; interleave()
+  /// runs two (forward and backward) round-interleaved so each one's merge
+  /// compute hides the other's in-flight message. Construction posts the
+  /// round-0 send immediately; finish() seals the CachedScan.
   class Factoring {
    public:
     Factoring(mpsim::Comm& comm, ScanDirection dir, Context ctx, Mat seg, int tag)
@@ -258,6 +209,7 @@ class CachedScan {
         Round round;
         round.partner = rank_of(step.partner, size, dir);
         round.partner_is_lower = step.partner_is_lower;
+        round.level = step.level;
         scan_.rounds_.push_back(std::move(round));
       }
       post_send(comm);
@@ -268,6 +220,9 @@ class CachedScan {
     bool ready(mpsim::Comm& comm) const {
       return !done() && comm.recv_ready(scan_.rounds_[finished_].partner, tag_);
     }
+
+    /// Hypercube level of the next round (valid while !done()).
+    int next_level() const { return scan_.rounds_[finished_].level; }
 
     /// Receive one round; merge next-send-first exactly as Replay does.
     void finish_round(mpsim::Comm& comm) {
@@ -345,6 +300,7 @@ class CachedScan {
   struct Round {
     int partner = -1;
     bool partner_is_lower = false;
+    int level = 0;  ///< hypercube level of the exchange (see interleave())
     bool result_was_set = false;
     Cache cache_partial{};
     std::optional<Cache> cache_result;
@@ -363,5 +319,31 @@ class CachedScan {
   Mat result_mat_{};
   std::vector<Round> rounds_;
 };
+
+/// Drive two in-flight steppers (two Factorings or two Replays) to
+/// completion, round-interleaved: finish whichever round's message is
+/// already visible on the virtual clock, preferring `a`. Both must have
+/// posted their round-0 sends. Deterministic under ChargedFlops timing.
+///
+/// Only rounds at this rank's lowest pending hypercube level are eligible:
+/// ready() and finish_round() block (wall clock) until the message is
+/// queued, and a level-L message is sent once its sender has finished its
+/// rounds below L. So if every rank blocks only at its lowest pending
+/// level, the ranks at the globally lowest level always make progress and
+/// no wait cycle can form. (Without the gate, on P = 5 rank 0 waited for
+/// rank 4's level-2 backward message while rank 4 waited for rank 0's
+/// level-2 forward one.)
+template <typename A, typename B>
+void interleave(mpsim::Comm& comm, A& a, B& b) {
+  while (!a.done() || !b.done()) {
+    const bool a_ok = !a.done() && (b.done() || a.next_level() <= b.next_level());
+    const bool b_ok = !b.done() && (a.done() || b.next_level() <= a.next_level());
+    if (a_ok && (!b_ok || a.ready(comm) || !b.ready(comm))) {
+      a.finish_round(comm);
+    } else {
+      b.finish_round(comm);
+    }
+  }
+}
 
 }  // namespace ardbt::core

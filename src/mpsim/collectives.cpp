@@ -14,6 +14,10 @@ int from_vrank(int vrank, int root, int size) { return (vrank + root) % size; }
 
 void barrier(Comm& comm) {
   const int p = comm.size();
+  // Phase timers read vtime() around barriers. A one-rank barrier sends
+  // nothing, so fold pending measured compute here (for P > 1 the first
+  // send does it); under ChargedFlops this leaves the clock unchanged.
+  if (p == 1) comm.sync_compute();
   const int r = comm.rank();
   const std::byte token{0};
   for (int k = 1; k < p; k <<= 1) {
@@ -159,10 +163,12 @@ void allgather(Comm& comm, std::span<const double> send, std::span<double> out) 
 std::vector<ScanStep> exscan_schedule(int rank, int size) {
   assert(rank >= 0 && rank < size);
   std::vector<ScanStep> steps;
-  for (int mask = 1; mask < size; mask <<= 1) {
+  int level = 0;
+  for (int mask = 1; mask < size; mask <<= 1, ++level) {
     const int partner = rank ^ mask;
     if (partner < size) {
-      steps.push_back(ScanStep{.partner = partner, .partner_is_lower = partner < rank});
+      steps.push_back(
+          ScanStep{.partner = partner, .partner_is_lower = partner < rank, .level = level});
     }
   }
   return steps;

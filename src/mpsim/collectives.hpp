@@ -68,9 +68,12 @@ void allgather(Comm& comm, std::span<const double> send, std::span<double> out);
 
 /// One step of the hypercube exscan schedule. `partner_is_lower` is true
 /// when the partner's block covers strictly lower ranks than ours.
+/// `level` is the hypercube dimension of the exchange (partner = rank ^
+/// 2^level); both ends of an exchange share it.
 struct ScanStep {
   int partner = -1;
   bool partner_is_lower = false;
+  int level = 0;
 };
 
 /// Deterministic exchange schedule executed by rank `rank` in exscan over

@@ -96,8 +96,9 @@ class Comm {
   /// virtual time. Never consumes the message and never advances the
   /// clock; may block wall-clock until the sender has physically pushed
   /// (so under ChargedFlops the answer is a deterministic function of the
-  /// program, not of thread scheduling). Pipelined schedulers use it to
-  /// decide which in-flight scan round to finish first.
+  /// program, not of thread scheduling), and throws fault::DeadlineError
+  /// past recv_timeout_wall like recv_bytes. Pipelined schedulers use it
+  /// to decide which in-flight scan round to finish first.
   bool recv_ready(int src, int tag);
 
   /// ---- message-tag registry ------------------------------------------

@@ -1,9 +1,11 @@
 // Randomized differential testing: many seeded problems, every solver in
-// the library cross-checked against block Thomas. Shapes are drawn from a
-// seeded generator so failures are reproducible by seed.
+// the library cross-checked against block Thomas. Shapes and ARD schedule
+// options are drawn from a seeded generator so failures are reproducible
+// by seed.
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <random>
 
 #include "src/btds/cyclic_reduction.hpp"
@@ -27,7 +29,17 @@ struct FuzzCase {
   ProblemKind kind;
   index_t n, m, r;
   int p;
+  // ARD schedule options; every combination must reproduce the default
+  // schedule's solution bit for bit.
+  bool overlap;
+  index_t chunk;
+  int threads;
 };
+
+// Seeds from here on force an uneven partition with P <= N < 2P, where
+// single-row and multi-row ranks must still run one schedule.
+constexpr std::uint64_t kFirstUnevenSeed = 60;
+constexpr std::uint64_t kEndSeed = 80;
 
 FuzzCase draw_case(std::uint64_t seed) {
   std::mt19937_64 rng(seed * 2654435761ULL + 1);
@@ -40,7 +52,26 @@ FuzzCase draw_case(std::uint64_t seed) {
   c.r = 1 + static_cast<index_t>(rng() % 5);
   c.p = 1 + static_cast<int>(rng() % 6);
   if (c.n < c.p) c.p = static_cast<int>(c.n);
+  c.overlap = rng() % 2 == 1;
+  const index_t chunks[] = {0, 1, c.r};
+  c.chunk = chunks[rng() % 3];
+  c.threads = rng() % 2 == 0 ? 1 : 3;
+  if (seed >= kFirstUnevenSeed) {
+    c.p = 2 + static_cast<int>(rng() % 5);
+    c.n = c.p + 1 + static_cast<index_t>(rng() % static_cast<std::uint64_t>(c.p - 1));
+  }
   return c;
+}
+
+// A rank schedule mismatch fails the run with a DeadlineError (reported
+// with the seed) instead of hanging until the ctest timeout.
+core::SessionConfig ard_config(bool overlap, index_t chunk, int threads) {
+  core::SessionConfig config;
+  config.ard.pipeline.overlap = overlap;
+  config.ard.pipeline.chunk_cols = chunk;
+  config.engine.threads_per_rank = threads;
+  config.engine.recv_timeout_wall = 30.0;
+  return config;
 }
 
 class FuzzDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -49,7 +80,8 @@ TEST_P(FuzzDifferential, AllSolversMatchThomas) {
   const FuzzCase c = draw_case(GetParam());
   SCOPED_TRACE(::testing::Message()
                << "seed=" << GetParam() << " kind=" << btds::to_string(c.kind) << " N=" << c.n
-               << " M=" << c.m << " R=" << c.r << " P=" << c.p);
+               << " M=" << c.m << " R=" << c.r << " P=" << c.p << " overlap=" << c.overlap
+               << " chunk=" << c.chunk << " threads=" << c.threads);
 
   const BlockTridiag sys = make_problem(c.kind, c.n, c.m, GetParam());
   const Matrix b = make_rhs(c.n, c.m, c.r, GetParam() + 1);
@@ -63,7 +95,17 @@ TEST_P(FuzzDifferential, AllSolversMatchThomas) {
       }
     }
   };
-  check(core::solve(core::Method::kArd, sys, b, c.p).x, 1e-9, "ard");
+  Matrix x_ard, x_sched;
+  try {
+    x_ard = core::solve(core::Method::kArd, sys, b, c.p, ard_config(false, 0, 1)).x;
+    x_sched = core::solve(core::Method::kArd, sys, b, c.p,
+                          ard_config(c.overlap, c.chunk, c.threads))
+                  .x;
+  } catch (const std::exception& e) {
+    FAIL() << "seed=" << GetParam() << ": ARD threw " << e.what();
+  }
+  check(x_ard, 1e-9, "ard");
+  EXPECT_TRUE(x_sched == x_ard) << "ARD schedule options changed the solution";
   check(core::solve(core::Method::kPcr, sys, b, c.p).x, 1e-9, "pcr");
   check(btds::cyclic_reduction_solve(sys, b), 1e-9, "cyclic reduction");
   // Transfer RD only where its known N-degradation allows a meaningful
@@ -73,7 +115,19 @@ TEST_P(FuzzDifferential, AllSolversMatchThomas) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential, ::testing::Range<std::uint64_t>(0, 60),
+// Guards the generator: every forced seed draws an uneven partition
+// (P <= N < 2P, N not a multiple of P) with at least two ranks.
+TEST(FuzzDifferentialCases, SeedsCoverUnevenPartitions) {
+  int uneven = 0;
+  for (std::uint64_t seed = 0; seed < kEndSeed; ++seed) {
+    const FuzzCase c = draw_case(seed);
+    ASSERT_LE(c.p, c.n) << "seed=" << seed;
+    if (c.p >= 2 && c.n < 2 * c.p && c.n % c.p != 0) ++uneven;
+  }
+  EXPECT_GE(uneven, static_cast<int>(kEndSeed - kFirstUnevenSeed));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential, ::testing::Range<std::uint64_t>(0, kEndSeed),
                          [](const auto& info) { return "seed" + std::to_string(info.param); });
 
 }  // namespace

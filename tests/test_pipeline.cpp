@@ -1,9 +1,9 @@
 // Tests for the latency-hiding scan pipeline (docs/PARALLELISM.md,
 // "Latency-hiding pipeline"): the bit-identity contract of overlap /
-// chunked RHS panels across thread counts, the hierarchical-lanes local
-// reduction, the attribution-visible effect of overlap on a comm-bound
-// run, and the dynamic-tag registry the pipeline's concurrent scans lean
-// on (regression: tag uniqueness used to be a comment, not a check).
+// chunked RHS panels across thread counts and uneven partitions, the
+// attribution-visible effect of overlap on a comm-bound run, and the
+// dynamic-tag registry the pipeline's concurrent scans lean on
+// (regression: tag uniqueness used to be a comment, not a check).
 
 #include <gtest/gtest.h>
 
@@ -33,6 +33,8 @@ mpsim::EngineOptions charged_engine(int threads = 1) {
   engine.timing = mpsim::TimingMode::ChargedFlops;
   engine.cost = mpsim::CostModel::cluster2014();
   engine.threads_per_rank = threads;
+  // A schedule mismatch between ranks fails the test instead of hanging.
+  engine.recv_timeout_wall = 30.0;
   return engine;
 }
 
@@ -48,11 +50,10 @@ double max_abs_diff(const la::Matrix& a, const la::Matrix& b) {
 }
 
 la::Matrix pipeline_solve(const btds::BlockTridiag& sys, const la::Matrix& b, int p,
-                          bool overlap, index_t chunk, int lanes, int threads) {
+                          bool overlap, index_t chunk, int threads) {
   core::ArdOptions opts;
   opts.pipeline.overlap = overlap;
   opts.pipeline.chunk_cols = chunk;
-  opts.pipeline.lanes = lanes;
   return core::solve(core::Method::kArd, sys, b, p,
                      {.ard = opts, .engine = charged_engine(threads)})
       .x;
@@ -60,7 +61,7 @@ la::Matrix pipeline_solve(const btds::BlockTridiag& sys, const la::Matrix& b, in
 
 // Tentpole contract: overlap and panel chunking never change a single
 // bit of the solution, for any thread count and any chunk size — the
-// merge reorder touches independent operand pairs only and lane-parallel
+// merge reorder touches independent operand pairs only and pool-parallel
 // Thomas solves have column-independent FP sequences.
 TEST(Pipeline, BitIdentityAcrossOverlapChunkThreads) {
   const index_t n = 96, m = 4, r = 6;
@@ -68,66 +69,64 @@ TEST(Pipeline, BitIdentityAcrossOverlapChunkThreads) {
   const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
   const auto b = make_rhs(n, m, r);
 
-  const la::Matrix base = pipeline_solve(sys, b, p, false, 0, 1, 1);
+  const la::Matrix base = pipeline_solve(sys, b, p, false, 0, 1);
   EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
 
   for (const bool overlap : {false, true})
     for (const int threads : {1, 3})
       for (const index_t chunk : {index_t{1}, index_t{0}, r}) {
-        const la::Matrix x = pipeline_solve(sys, b, p, overlap, chunk, 1, threads);
+        const la::Matrix x = pipeline_solve(sys, b, p, overlap, chunk, threads);
         EXPECT_EQ(max_abs_diff(base, x), 0.0)
             << "overlap=" << overlap << " threads=" << threads << " chunk=" << chunk;
       }
 
   // Serial specialization (P=1) takes the same panel path and must agree too.
-  const la::Matrix s_base = pipeline_solve(sys, b, 1, false, 0, 1, 1);
-  const la::Matrix s_pipe = pipeline_solve(sys, b, 1, true, 2, 1, 1);
+  const la::Matrix s_base = pipeline_solve(sys, b, 1, false, 0, 1);
+  const la::Matrix s_pipe = pipeline_solve(sys, b, 1, true, 2, 1);
   EXPECT_EQ(max_abs_diff(s_base, s_pipe), 0.0);
 }
 
-// Hierarchical lanes re-associate the local reduction, so they are only
-// numerically equivalent to the flat path — but for a FIXED lane count
-// the solution must be bit-identical across overlap, chunking, and
-// thread counts (lane bounds are pure in (nloc, lanes)).
-TEST(Pipeline, HierarchicalLanesResidualAndFixedLaneBitIdentity) {
-  const index_t n = 96, m = 4, r = 6;
-  const int p = 4, lanes = 3;
-  const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
-  const auto b = make_rhs(n, m, r);
-
-  const la::Matrix base = pipeline_solve(sys, b, p, false, 0, lanes, 1);
-  EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
-
-  for (const bool overlap : {false, true})
-    for (const int threads : {1, 3})
-      for (const index_t chunk : {index_t{1}, index_t{0}, r}) {
-        const la::Matrix x = pipeline_solve(sys, b, p, overlap, chunk, lanes, threads);
-        EXPECT_EQ(max_abs_diff(base, x), 0.0)
-            << "overlap=" << overlap << " threads=" << threads << " chunk=" << chunk;
-      }
-}
-
-// Regression (uneven partitions): solve_local used to dispatch on the
-// rank-local hierarchical() flag, so with lanes > 1 and P <= N < 2P the
-// single-row ranks replayed the cross-rank scans with the fixed
-// kFwdSolve/kBwdSolve tags while multi-row ranks used dynamic panel tags
-// — each side waited on a tag its partner never sent and solve() hung.
-// The dispatch is options-only now: the mixed fleet must complete, solve
-// accurately, and stay bit-identical across the other pipeline knobs.
-TEST(Pipeline, UnevenPartitionWithLanesDoesNotDeadlock) {
+// Uneven partitions (P <= N < 2P): single-row ranks and multi-row ranks
+// must replay the same panel schedule with the same tags, or solve()
+// hangs (as a rank-local schedule dispatch once did on this partition).
+// Every overlap/chunk combination must complete, solve accurately, and
+// stay bit-identical to the default schedule.
+TEST(Pipeline, UnevenPartitionDoesNotDeadlock) {
   const index_t n = 5, m = 3, r = 4;
-  const int p = 4;  // rows split {2,1,1,1}: only rank 0 builds lanes
+  const int p = 4;  // rows split {2,1,1,1}
   const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
   const auto b = make_rhs(n, m, r);
 
-  const la::Matrix base = pipeline_solve(sys, b, p, false, 0, 2, 1);
+  const la::Matrix base = pipeline_solve(sys, b, p, false, 0, 1);
   EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12);
 
   for (const bool overlap : {false, true})
-    for (const index_t chunk : {index_t{0}, index_t{2}}) {
-      const la::Matrix x = pipeline_solve(sys, b, p, overlap, chunk, 2, 1);
+    for (const index_t chunk : {index_t{0}, index_t{1}, index_t{2}}) {
+      const la::Matrix x = pipeline_solve(sys, b, p, overlap, chunk, 1);
       EXPECT_EQ(max_abs_diff(base, x), 0.0) << "overlap=" << overlap << " chunk=" << chunk;
     }
+}
+
+// Regression (overlap deadlock): the round-interleaving scheduler used to
+// block on whichever scan it preferred, even at a higher hypercube level
+// than the other scan's next round. On P = 5 (and 9, 10, 11, 13, ...)
+// two ranks then each waited for a message the other would only send
+// after its own wait returned. Overlap must complete on ragged rank
+// counts, for one and several panels, and match the default schedule.
+TEST(Pipeline, OverlapCompletesOnNonPowerOfTwoRankCounts) {
+  const index_t m = 2, r = 3;
+  for (const int p : {5, 9, 11}) {
+    for (const index_t n : {index_t{p + 2}, index_t{64}}) {
+      const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
+      const auto b = make_rhs(n, m, r);
+      const la::Matrix base = pipeline_solve(sys, b, p, false, 0, 1);
+      EXPECT_LT(btds::relative_residual(sys, base, b), 1e-12) << "P=" << p << " N=" << n;
+      for (const index_t chunk : {index_t{0}, index_t{1}}) {
+        const la::Matrix x = pipeline_solve(sys, b, p, true, chunk, 1);
+        EXPECT_EQ(max_abs_diff(base, x), 0.0) << "P=" << p << " N=" << n << " chunk=" << chunk;
+      }
+    }
+  }
 }
 
 struct OverlapRun {

@@ -94,7 +94,7 @@ TEST(Session, SolutionsAreBitIdenticalAcrossThreadCounts) {
     for (int threads : {1, 2, 8}) {
       mpsim::EngineOptions engine = charged();
       engine.threads_per_rank = threads;
-      Session session(method, sys, 4, {}, engine);
+      Session session(method, sys, 4, {.engine = engine});
       session.factor();
       const la::Matrix x = session.solve(b);
       if (threads == 1) {
@@ -116,7 +116,7 @@ TEST(Session, VirtualTimesAreIndependentOfThreadCount) {
   for (int threads : {1, 2, 8}) {
     mpsim::EngineOptions engine = charged();
     engine.threads_per_rank = threads;
-    Session session(Method::kArd, sys, 4, {}, engine);
+    Session session(Method::kArd, sys, 4, {.engine = engine});
     session.factor();
     session.solve(b);
     if (threads == 1) {
@@ -197,6 +197,41 @@ TEST(Session, ArdSolveIsArenaSteadyStateAfterFirstSolve) {
   obs::MetricsRegistry reg2;
   session.export_arena_metrics(reg2);
   EXPECT_EQ(reg2.gauge("arena.solve.slab_allocs").value(), solve_allocs);
+}
+
+TEST(Session, ArdArenaFootprintIsPinned) {
+  // Rank 0's arena high-water mark after the first solve with default
+  // options: the one-panel solve returns the modified-segment solve's
+  // result itself, so it holds no extra nloc*M x R buffer. The pinned
+  // values were read from a build of commit 7aae69a, before the default
+  // path was routed through the panel schedule (same shapes, same calls).
+  const la::index_t n = 96, m = 8;
+  const auto sys = make_problem(ProblemKind::kDiagDominant, n, m);
+  const struct {
+    la::index_t r;
+    std::uint64_t high_water;
+  } cases[] = {{1, 112512}, {16, 259584}};
+  for (const auto& c : cases) {
+    Session session(Method::kArd, sys, 2);
+    session.factor();
+    EXPECT_EQ(session.arena_stats_after_factor(0).high_water_bytes, 102912u) << "R=" << c.r;
+    session.solve(make_rhs(n, m, c.r));
+    EXPECT_EQ(session.arena_stats(0).high_water_bytes, c.high_water) << "R=" << c.r;
+  }
+}
+
+TEST(Session, MeasuredTimingReportsNonZeroPhaseTimesOnOneRank) {
+  // Regression: the phase timers read vtime() around barriers, and a
+  // one-rank barrier never sent a message, so nothing folded the measured
+  // CPU time into the clock and both phases read 0 s.
+  const auto sys = make_problem(ProblemKind::kDiagDominant, 64, 8);
+  mpsim::EngineOptions engine;
+  engine.timing = mpsim::TimingMode::MeasuredCpu;
+  Session session(Method::kArd, sys, 1, {.engine = engine});
+  session.factor();
+  session.solve(make_rhs(64, 8, 4));
+  EXPECT_GT(session.factor_vtime(), 0.0);
+  EXPECT_GT(session.last_solve_vtime(), 0.0);
 }
 
 TEST(Session, SolveLogStaysBoundedAndLatencyExportIsUnchanged) {

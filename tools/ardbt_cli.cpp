@@ -17,7 +17,6 @@
 //   --threads worker threads per rank for the solve kernels [1]
 //   --overlap pipeline scan communication behind compute (ard only) [off]
 //   --chunk   RHS columns per solve panel, 0 = all of R (ard only)  [0]
-//   --lanes   intra-rank lanes of the two-level scan (ard only)     [1]
 //   --refine  extra iterative-refinement steps (ard only)   [0]
 //   --load-sys PATH   solve a system saved with save_block_tridiag
 //                     (overrides --kind/--n/--m)
@@ -108,7 +107,7 @@ using namespace ardbt;
 
 constexpr const char* kKnownFlags[] = {
     "--method", "--kind",     "--n",        "--m",      "--p",     "--r",
-    "--overlap", "--chunk",   "--lanes",
+    "--overlap", "--chunk",
     "--seed",   "--timing",   "--threads",  "--refine", "--load-sys", "--save-sys",
     "--save-x", "--trace",    "--json",     "--metrics", "--list",  "--help",
     "--on-breakdown", "--fault", "--plant-pivot", "--plant-eps",
@@ -225,10 +224,6 @@ void print_usage() {
   std::printf("  --chunk C        RHS columns per solve panel (0 = all of R);\n");
   std::printf("                   with --overlap, panel k+1's local reduction\n");
   std::printf("                   hides panel k's in-flight scan rounds\n");
-  std::printf("  --lanes L        two-level hierarchical scan: L intra-rank lanes\n");
-  std::printf("                   reduce the segment in parallel before the\n");
-  std::printf("                   cross-rank scan (default 1 = flat;\n");
-  std::printf("                   docs/PARALLELISM.md)\n");
   std::printf("  --refine K       iterative-refinement steps (ard only)\n");
   std::printf("  --load-sys PATH  solve a saved system (overrides --kind/--n/--m)\n");
   std::printf("  --save-sys PATH  save the generated system\n");
@@ -389,8 +384,6 @@ int main(int argc, char** argv) {
       ard_opts.pipeline.overlap = true;
     } else if (flag == "--chunk") {
       ard_opts.pipeline.chunk_cols = static_cast<la::index_t>(parse_int(flag, next(), 0));
-    } else if (flag == "--lanes") {
-      ard_opts.pipeline.lanes = static_cast<int>(parse_int(flag, next(), 1, 1 << 16));
     } else if (flag == "--seed") {
       seed = static_cast<std::uint64_t>(parse_int(flag, next(), 0));
     } else if (flag == "--refine") {
@@ -913,7 +906,6 @@ int main(int argc, char** argv) {
         .config("threads", engine.threads_per_rank)
         .config("overlap", ard_opts.pipeline.overlap)
         .config("chunk", static_cast<std::int64_t>(ard_opts.pipeline.chunk_cols))
-        .config("lanes", ard_opts.pipeline.lanes)
         .config("refine", refine_steps)
         .config("on_breakdown", std::string(fault::to_string(engine.on_breakdown)));
     obs::Json timing = obs::Json::object();

@@ -9,7 +9,8 @@ panels across failure paths — the exact territory where a
 use-after-invalidate or a dangling Lease would hide. The engine hands
 ranks to parked worker threads that outlive every run, and par::Pool
 forks and joins lanes inside a rank; ASan/UBSan cover their lifetimes and
-TSan their handoffs.
+TSan their handoffs. The ARD scan pipeline (round-interleaved steppers,
+arena-recycled panels, blocking readiness probes) runs under all three.
 
 The build trees live under the main build directory (passed as argv) and
 are reused across runs, so only the first invocation pays a full
@@ -27,9 +28,11 @@ from pathlib import Path
 ENGINE_TARGETS = ["test_mpsim", "test_mpsim_stress", "test_par"]
 # mode -> (CMake option, test binaries)
 MODES = {
-    "asan": ("ARDBT_ASAN", ["test_service", "test_resilience"] + ENGINE_TARGETS),
-    "ubsan": ("ARDBT_UBSAN", ["test_service", "test_resilience"] + ENGINE_TARGETS),
-    "tsan": ("ARDBT_TSAN", ENGINE_TARGETS + ["test_session"]),
+    "asan": ("ARDBT_ASAN",
+             ["test_service", "test_resilience"] + ENGINE_TARGETS + ["test_pipeline"]),
+    "ubsan": ("ARDBT_UBSAN",
+              ["test_service", "test_resilience"] + ENGINE_TARGETS + ["test_pipeline"]),
+    "tsan": ("ARDBT_TSAN", ENGINE_TARGETS + ["test_session", "test_pipeline"]),
 }
 
 

@@ -3,14 +3,16 @@
 #include <cmath>
 
 #include "src/la/types.hpp"
-#include "src/obs/cost_model.hpp"
+#include "src/mpsim/costmodel.hpp"
 
 /// \file flops.hpp
 /// Closed-form work and communication counts mirroring the kernels the
 /// solvers actually call (experiment T1). All counts are the *per-rank
 /// critical path*: local terms use ceil(N/P) rows, cross-rank terms use
 /// ceil(log2 P) hypercube rounds. Cross-checked against the runtime flop
-/// counters (Comm::charge_flops) in tests.
+/// counters (Comm::charge_flops) in tests. The *_terms builders bundle
+/// them as mpsim::PhaseTerms, so a phase's closed-form runtime is
+/// `cost.predict(flops::*_terms(...))` on any mpsim::CostModel.
 
 namespace ardbt::core::flops {
 
@@ -61,15 +63,12 @@ inline double rd_per_rhs(index_t n, index_t m, index_t r, int p) {
   return static_cast<double>(r) * (ard_factor(n, m, p) + ard_solve(n, m, 1, p));
 }
 
-/// ARD amortized over R right-hand sides (one factor + one batched solve).
-inline double ard_amortized(index_t n, index_t m, index_t r, int p) {
-  return ard_factor(n, m, p) + ard_solve(n, m, r, p);
-}
-
 /// Predicted ARD-over-RD speedup for R right-hand sides (the F1 curve):
-/// approaches R for small R and saturates near factor/solve-per-rhs ~ 4M.
+/// ARD amortizes one factor over one batched solve, the same count as
+/// rd_batched. Approaches R for small R and saturates near
+/// factor/solve-per-rhs ~ 4M.
 inline double predicted_speedup(index_t n, index_t m, index_t r, int p) {
-  return rd_per_rhs(n, m, r, p) / ard_amortized(n, m, r, p);
+  return rd_per_rhs(n, m, r, p) / rd_batched(n, m, r, p);
 }
 
 /// Factor-phase bytes sent per rank: two scans exchanging a six-matrix
@@ -91,31 +90,41 @@ inline double ard_factor_messages(int p) { return 2.0 * log2_rounds(p); }
 /// Solve-phase message count per rank.
 inline double ard_solve_messages(int p) { return 2.0 * log2_rounds(p); }
 
-/// Workload terms of the ARD factor phase for the cost-model oracle
-/// (obs::CostModel::predict / judge): the same counts as ard_factor /
-/// ard_factor_messages / ard_factor_bytes, bundled.
-inline obs::PhaseTerms ard_factor_terms(index_t n, index_t m, int p) {
+/// Workload terms of the ARD factor phase (mpsim::CostModel::predict,
+/// mpsim::judge): the same counts as ard_factor / ard_factor_messages /
+/// ard_factor_bytes, bundled.
+inline mpsim::PhaseTerms ard_factor_terms(index_t n, index_t m, int p) {
   return {ard_factor(n, m, p), ard_factor_messages(p), ard_factor_bytes(m, p)};
 }
 
 /// Workload terms of one ARD solve batch with R right-hand sides.
-inline obs::PhaseTerms ard_solve_terms(index_t n, index_t m, index_t r, int p) {
+inline mpsim::PhaseTerms ard_solve_terms(index_t n, index_t m, index_t r, int p) {
   return {ard_solve(n, m, r, p), ard_solve_messages(p), ard_solve_bytes(m, r, p)};
 }
 
 /// Classic batched RD does factor-equivalent and solve-equivalent work in
 /// one pass: the sum of both phases' terms.
-inline obs::PhaseTerms rd_batched_terms(index_t n, index_t m, index_t r, int p) {
-  const obs::PhaseTerms f = ard_factor_terms(n, m, p);
-  const obs::PhaseTerms s = ard_solve_terms(n, m, r, p);
+inline mpsim::PhaseTerms rd_batched_terms(index_t n, index_t m, index_t r, int p) {
+  const mpsim::PhaseTerms f = ard_factor_terms(n, m, p);
+  const mpsim::PhaseTerms s = ard_solve_terms(n, m, r, p);
   return {f.flops + s.flops, f.messages + s.messages, f.bytes + s.bytes};
 }
 
 /// Per-RHS RD repeats the full pass once per right-hand side.
-inline obs::PhaseTerms rd_per_rhs_terms(index_t n, index_t m, index_t r, int p) {
-  const obs::PhaseTerms one = rd_batched_terms(n, m, 1, p);
+inline mpsim::PhaseTerms rd_per_rhs_terms(index_t n, index_t m, index_t r, int p) {
+  const mpsim::PhaseTerms one = rd_batched_terms(n, m, 1, p);
   const double rr = static_cast<double>(r);
   return {rr * one.flops, rr * one.messages, rr * one.bytes};
 }
 
 }  // namespace ardbt::core::flops
+
+namespace ardbt::core {
+
+/// Measure this host's effective flop rate with a short dense-kernel loop
+/// at a representative block size, returning `base` with its flop_rate
+/// set to the host's (alpha/beta unchanged, "+calibrated" appended to the
+/// name).
+mpsim::CostModel calibrate_flop_rate(mpsim::CostModel base, la::index_t block_size = 32);
+
+}  // namespace ardbt::core

@@ -4,16 +4,31 @@
 #include <string>
 
 /// \file costmodel.hpp
-/// Alpha-beta communication cost model used by the virtual-time engine.
-/// A message of b bytes sent at sender virtual time t becomes available to
-/// the receiver at `t + alpha + beta * b`; the receiver's clock advances to
-/// at least that instant. Compute is charged either from measured
+/// The alpha-beta-gamma cost model: the one place the repo turns work
+/// into seconds. The virtual-time engine charges with it — a message of b
+/// bytes sent at sender virtual time t becomes available to the receiver
+/// at `t + alpha + beta * b`, and compute is charged either from measured
 /// per-thread CPU time or from explicitly charged flops divided by
-/// `flop_rate` (see TimingMode in engine.hpp).
+/// `flop_rate` (see TimingMode in engine.hpp). The closed-form
+/// predictions use the same constants through predict(): a phase's
+/// workload is summarized as PhaseTerms (core/flops.hpp builds them from
+/// N, M, R, P) and costs
+///
+///   T = flops / flop_rate + messages * alpha + bytes * beta,
+///
+/// so a prediction from an engine's own model lands at ratio 1 when the
+/// implementation does exactly the work the formulas count.
 
 namespace ardbt::mpsim {
 
-/// Machine parameters for the virtual clock.
+/// Workload summary for one phase: what the paper's formulas count.
+struct PhaseTerms {
+  double flops = 0.0;
+  double messages = 0.0;
+  double bytes = 0.0;
+};
+
+/// Machine parameters for the virtual clock and the predictions.
 struct CostModel {
   /// Per-message latency in seconds (includes software overhead).
   double alpha = 5e-6;
@@ -30,20 +45,35 @@ struct CostModel {
     return alpha + beta * static_cast<double>(bytes);
   }
 
+  /// Predicted seconds for a phase: flops/rate + messages*alpha + bytes*beta.
+  double predict(const PhaseTerms& t) const {
+    return t.flops / flop_rate + t.messages * alpha + t.bytes * beta;
+  }
+
+  /// This model with every predicted time multiplied by `s` (a uniform
+  /// rescale of all three constants).
+  CostModel scaled(double s) const {
+    CostModel out = *this;
+    out.flop_rate /= s;
+    out.alpha *= s;
+    out.beta *= s;
+    return out;
+  }
+
+  /// The scale s for which scaled(s) reproduces `measured_s` for `terms`
+  /// exactly (one-run calibration); 1 when the prediction or the
+  /// measurement is not positive. With an engine's own model s lands at 1
+  /// when the implementation performs exactly the predicted work.
+  double fit_scale(const PhaseTerms& terms, double measured_s) const {
+    const double predicted = predict(terms);
+    if (predicted <= 0.0 || measured_s <= 0.0) return 1.0;
+    return measured_s / predicted;
+  }
+
   /// A profile resembling the interconnects of IPDPS-2014-era clusters
   /// (QDR InfiniBand-ish: ~2 us latency, ~3 GB/s effective bandwidth).
   static CostModel cluster2014() {
     return CostModel{.alpha = 2e-6, .beta = 1.0 / 3e9, .flop_rate = 5e9, .name = "qdr-ib-2014"};
-  }
-
-  /// A deliberately slow-network profile for sensitivity studies.
-  static CostModel slow_ethernet() {
-    return CostModel{.alpha = 5e-5, .beta = 1.0 / 1e8, .flop_rate = 5e9, .name = "gige"};
-  }
-
-  /// Zero-cost communication (isolates compute scaling).
-  static CostModel free_comm() {
-    return CostModel{.alpha = 0.0, .beta = 0.0, .flop_rate = 5e9, .name = "free-comm"};
   }
 };
 

@@ -32,6 +32,43 @@ obs::Json to_json(const RunReport& report) {
   return j;
 }
 
+obs::CostVerdict judge(const CostModel& model, const std::string& phase, const PhaseTerms& terms,
+                       double measured_s) {
+  obs::CostVerdict v;
+  v.phase = phase;
+  v.measured_s = measured_s;
+  v.predicted_s = model.predict(terms);
+  if (v.predicted_s > 0.0) {
+    v.ratio = measured_s / v.predicted_s;
+    v.flagged = v.ratio > kCostFlagThreshold || v.ratio < 1.0 / kCostFlagThreshold;
+  }
+  return v;
+}
+
+obs::Json to_json(const CostModel& model, double calibration_scale,
+                  const std::vector<obs::CostVerdict>& verdicts) {
+  obs::Json out = obs::Json::object();
+  obs::Json constants = obs::Json::object();
+  constants.set("seconds_per_flop", 1.0 / model.flop_rate);
+  constants.set("alpha_s", model.alpha);
+  constants.set("beta_s_per_byte", model.beta);
+  out.set("constants", std::move(constants));
+  out.set("threshold", kCostFlagThreshold);
+  out.set("calibration_scale", calibration_scale);
+  obs::Json phases = obs::Json::array();
+  for (const obs::CostVerdict& v : verdicts) {
+    obs::Json p = obs::Json::object();
+    p.set("phase", v.phase);
+    p.set("measured_s", v.measured_s);
+    p.set("predicted_s", v.predicted_s);
+    p.set("ratio", v.ratio);
+    p.set("flagged", v.flagged);
+    phases.push(std::move(p));
+  }
+  out.set("phases", std::move(phases));
+  return out;
+}
+
 void export_metrics(const RunReport& report, obs::MetricsRegistry& registry) {
   const RankStats totals = report.totals();
   registry.counter("mpsim.msgs_sent").add(totals.msgs_sent);

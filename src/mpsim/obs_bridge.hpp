@@ -1,6 +1,10 @@
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "src/mpsim/engine.hpp"
+#include "src/obs/live/watchdog.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 
@@ -39,6 +43,25 @@ void export_metrics(const RunReport& report, obs::MetricsRegistry& registry);
 ///   gauge     trace.dropped_events — point-in-time drop total; nonzero
 ///             means bounded rings overwrote events (attribution partial)
 void export_metrics(const obs::Tracer& tracer, obs::MetricsRegistry& registry);
+
+/// The cost-model oracle's band: a phase is flagged when its
+/// measured/predicted ratio exceeds this or falls below its inverse.
+inline constexpr double kCostFlagThreshold = 2.0;
+
+/// Judge a measured phase against `model.predict(terms)`; flagged when the
+/// ratio leaves [1/kCostFlagThreshold, kCostFlagThreshold] (only with a
+/// nonzero prediction).
+obs::CostVerdict judge(const CostModel& model, const std::string& phase, const PhaseTerms& terms,
+                       double measured_s);
+
+/// The oracle's report section:
+///   {"constants": {"seconds_per_flop", "alpha_s", "beta_s_per_byte"},
+///    "threshold", "calibration_scale",
+///    "phases": [{"phase","measured_s","predicted_s","ratio","flagged"}]}
+/// where `model` is the (already rescaled) model the verdicts used and
+/// seconds_per_flop is 1 / model.flop_rate.
+obs::Json to_json(const CostModel& model, double calibration_scale,
+                  const std::vector<obs::CostVerdict>& verdicts);
 
 /// Flight-recorder tallies as gauges: recorder.events_recorded /
 /// events_dropped / anomalies_noted / max_resident_events.

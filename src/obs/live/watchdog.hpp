@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/fault/status.hpp"
-#include "src/obs/cost_model.hpp"
 #include "src/obs/live/log.hpp"
 #include "src/obs/live/recorder.hpp"
 #include "src/obs/metrics.hpp"
@@ -30,6 +29,20 @@
 ///
 /// All sinks are optional; a null Log / registry / recorder simply skips
 /// that output. Driver thread only.
+
+namespace ardbt::obs {
+
+/// One phase's measured-vs-predicted record from the cost-model oracle
+/// (produced by mpsim::judge; check_cost() consumes it).
+struct CostVerdict {
+  std::string phase;
+  double measured_s = 0.0;
+  double predicted_s = 0.0;
+  double ratio = 0.0;  ///< measured / predicted (0 when predicted == 0)
+  bool flagged = false;
+};
+
+}  // namespace ardbt::obs
 
 namespace ardbt::obs::live {
 

@@ -27,8 +27,9 @@
 ///     "attribution": { obs::to_json(Attribution): critical path,
 ///                  per-rank compute/send/wait/idle, per-phase
 ///                  percentiles },
-///     "cost_model": { CostModel::to_json: constants + per-phase
-///                  measured-vs-predicted verdicts },
+///     "cost_model": { mpsim::to_json(CostModel, scale, verdicts):
+///                  constants + per-phase measured-vs-predicted
+///                  verdicts; only when a phase was judged },
 ///     "tables":  { "<name>": [ {col: cell, ...}, ... ] }
 ///   }
 ///

@@ -16,8 +16,8 @@
 #include "src/core/flops.hpp"
 #include "src/core/solver.hpp"
 #include "src/mpsim/engine.hpp"
+#include "src/mpsim/obs_bridge.hpp"
 #include "src/obs/attribution.hpp"
-#include "src/obs/cost_model.hpp"
 #include "src/obs/run_report.hpp"
 #include "src/obs/trace.hpp"
 
@@ -230,22 +230,23 @@ TEST(Attribution, JsonDeterministicAcrossRunsAndThreads) {
 // ------------------------------------------------------------ CostModel
 
 TEST(CostModel, PredictsAlphaBetaGammaSum) {
-  obs::CostModel model({/*seconds_per_flop=*/1e-9, /*alpha=*/1e-6, /*beta=*/1e-9});
-  const obs::PhaseTerms t{/*flops=*/1e9, /*messages=*/10.0, /*bytes=*/1e6};
+  const mpsim::CostModel model{.alpha = 1e-6, .beta = 1e-9, .flop_rate = 1e9};
+  const mpsim::PhaseTerms t{/*flops=*/1e9, /*messages=*/10.0, /*bytes=*/1e6};
   EXPECT_DOUBLE_EQ(model.predict(t), 1.0 + 1e-5 + 1e-3);
 }
 
 TEST(CostModel, JudgeFlagsOutsideThresholdBand) {
-  obs::CostModel model({/*seconds_per_flop=*/1.0, 0.0, 0.0}, /*flag_threshold=*/2.0);
-  const obs::PhaseTerms one_flop{1.0, 0.0, 0.0};  // predicted exactly 1 s
+  EXPECT_EQ(mpsim::kCostFlagThreshold, 2.0);
+  const mpsim::CostModel model{.alpha = 0.0, .beta = 0.0, .flop_rate = 1.0};
+  const mpsim::PhaseTerms one_flop{1.0, 0.0, 0.0};  // predicted exactly 1 s
 
-  EXPECT_FALSE(model.judge("ok", one_flop, 1.0).flagged);
-  EXPECT_FALSE(model.judge("at-upper", one_flop, 2.0).flagged);   // inclusive band
-  EXPECT_FALSE(model.judge("at-lower", one_flop, 0.5).flagged);
-  EXPECT_TRUE(model.judge("slow", one_flop, 2.5).flagged);
-  EXPECT_TRUE(model.judge("fast", one_flop, 0.4).flagged);
+  EXPECT_FALSE(mpsim::judge(model, "ok", one_flop, 1.0).flagged);
+  EXPECT_FALSE(mpsim::judge(model, "at-upper", one_flop, 2.0).flagged);  // inclusive band
+  EXPECT_FALSE(mpsim::judge(model, "at-lower", one_flop, 0.5).flagged);
+  EXPECT_TRUE(mpsim::judge(model, "slow", one_flop, 2.5).flagged);
+  EXPECT_TRUE(mpsim::judge(model, "fast", one_flop, 0.4).flagged);
 
-  const obs::CostVerdict v = model.judge("slow", one_flop, 2.5);
+  const obs::CostVerdict v = mpsim::judge(model, "slow", one_flop, 2.5);
   EXPECT_EQ(v.phase, "slow");
   EXPECT_DOUBLE_EQ(v.measured_s, 2.5);
   EXPECT_DOUBLE_EQ(v.predicted_s, 1.0);
@@ -253,41 +254,67 @@ TEST(CostModel, JudgeFlagsOutsideThresholdBand) {
 }
 
 TEST(CostModel, CalibrateRescalesUniformly) {
-  obs::CostModel model({1.0, 1.0, 1.0});
-  const obs::PhaseTerms t{1.0, 1.0, 1.0};  // predicted 3 s
-  const double scale = model.calibrate(t, /*measured_s=*/6.0);
+  const mpsim::CostModel model{.alpha = 1.0, .beta = 1.0, .flop_rate = 1.0};
+  const mpsim::PhaseTerms t{1.0, 1.0, 1.0};  // predicted 3 s
+  const double scale = model.fit_scale(t, /*measured_s=*/6.0);
   EXPECT_DOUBLE_EQ(scale, 2.0);
-  EXPECT_DOUBLE_EQ(model.predict(t), 6.0);
-  EXPECT_FALSE(model.judge("anchor", t, 6.0).flagged);
+  const mpsim::CostModel fitted = model.scaled(scale);
+  EXPECT_DOUBLE_EQ(fitted.predict(t), 6.0);
+  EXPECT_FALSE(mpsim::judge(fitted, "anchor", t, 6.0).flagged);
 
-  // Zero prediction: calibration is a no-op.
-  obs::CostModel empty({0.0, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(empty.calibrate(t, 5.0), 1.0);
-  EXPECT_DOUBLE_EQ(empty.predict(t), 0.0);
+  // The report section states the rescaled constants and the scale.
+  const std::string json =
+      mpsim::to_json(fitted, scale, {mpsim::judge(fitted, "anchor", t, 6.0)}).dump();
+  EXPECT_NE(json.find(R"("seconds_per_flop":2)"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("calibration_scale":2)"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("threshold":2)"), std::string::npos) << json;
+
+  // Zero prediction or zero measurement: calibration is a no-op.
+  const mpsim::PhaseTerms none{0.0, 0.0, 0.0};
+  EXPECT_DOUBLE_EQ(model.fit_scale(none, 5.0), 1.0);
+  EXPECT_DOUBLE_EQ(model.predict(none), 0.0);
+  EXPECT_DOUBLE_EQ(model.fit_scale(t, 0.0), 1.0);
 }
 
 TEST(CostModel, PaperTermsPredictEngineFactorTime) {
   // End to end: the simulator charges exactly the flops/messages/bytes
-  // the formulas count, so seeding the oracle with the engine's own
-  // constants must land the ARD factor phase within the 2x band.
+  // the formulas count, so judging with the engine's own cost model must
+  // land every phase with closed-form terms well inside the 2x band — for
+  // even and uneven partitions, the ARD factor and solve phases, and both
+  // classic RD variants. Every ratio sits in [0.95, 1.2].
   const la::index_t n = 64;
   const la::index_t m = 4;
-  const int p = 4;
+  const la::index_t r = 4;
   const auto sys = btds::make_problem(btds::ProblemKind::kDiagDominant, n, m);
-  const auto b = btds::make_rhs(n, m, 4);
+  const auto b = btds::make_rhs(n, m, r);
   mpsim::EngineOptions engine;
   engine.timing = mpsim::TimingMode::ChargedFlops;
-  const auto res = core::solve(core::Method::kArd, sys, b, p, {.engine = engine});
-
-  obs::CostModel::Constants c;
-  c.seconds_per_flop = 1.0 / engine.cost.flop_rate;
-  c.alpha = engine.cost.alpha;
-  c.beta = engine.cost.beta;
-  obs::CostModel oracle(c);
-  const obs::CostVerdict v =
-      oracle.judge("driver.factor", core::flops::ard_factor_terms(n, m, p), res.factor_vtime);
-  EXPECT_GT(v.predicted_s, 0.0);
-  EXPECT_FALSE(v.flagged) << "measured/predicted = " << v.ratio;
+  const auto expect_tracks = [](const obs::CostVerdict& v, int p) {
+    EXPECT_GT(v.predicted_s, 0.0) << v.phase << " P=" << p;
+    EXPECT_FALSE(v.flagged) << v.phase << " P=" << p << " measured/predicted = " << v.ratio;
+    EXPECT_GE(v.ratio, 0.95) << v.phase << " P=" << p;
+    EXPECT_LE(v.ratio, 1.2) << v.phase << " P=" << p;
+  };
+  for (const int p : {1, 3, 4}) {
+    // ARD as the CLI judges it: the factor phase against the engine's own
+    // model, then the solve phase against that model rescaled on the factor.
+    const auto ard = core::solve(core::Method::kArd, sys, b, p, {.engine = engine});
+    const mpsim::PhaseTerms factor = core::flops::ard_factor_terms(n, m, p);
+    expect_tracks(mpsim::judge(engine.cost, "driver.factor", factor, ard.factor_vtime), p);
+    const mpsim::CostModel fitted =
+        engine.cost.scaled(engine.cost.fit_scale(factor, ard.factor_vtime));
+    expect_tracks(mpsim::judge(fitted, "driver.solve", core::flops::ard_solve_terms(n, m, r, p),
+                               ard.solve_vtime),
+                  p);
+    const auto rd = core::solve(core::Method::kRdBatched, sys, b, p, {.engine = engine});
+    expect_tracks(mpsim::judge(engine.cost, "rd.solve", core::flops::rd_batched_terms(n, m, r, p),
+                               rd.solve_vtime),
+                  p);
+    const auto per_rhs = core::solve(core::Method::kRdPerRhs, sys, b, p, {.engine = engine});
+    expect_tracks(mpsim::judge(engine.cost, "rd_per_rhs.solve",
+                               core::flops::rd_per_rhs_terms(n, m, r, p), per_rhs.solve_vtime),
+                  p);
+  }
 }
 
 // ------------------------------------------------- run_report v2 plumbing

@@ -92,7 +92,6 @@
 #include "src/mpsim/obs_bridge.hpp"
 #include "src/obs/attribution.hpp"
 #include "src/obs/chrome_trace.hpp"
-#include "src/obs/cost_model.hpp"
 #include "src/obs/live/telemetry.hpp"
 #include "src/obs/live/watchdog.hpp"
 #include "src/obs/metrics.hpp"
@@ -824,37 +823,36 @@ int main(int argc, char** argv) {
     // Attribution: dependency graph + critical path over the traced run.
     const obs::Attribution attr = obs::analyze(tracer);
 
-    // Cost-model oracle, seeded with the simulator's own constants and
-    // calibrated on the factor phase when the method has one. Phases
-    // whose measured/predicted ratio drifts past the threshold get a
-    // structured warning — the formulas count the per-rank critical path,
-    // so a clean run sits near ratio 1.
-    obs::CostModel::Constants constants;
-    constants.seconds_per_flop = 1.0 / engine.cost.flop_rate;
-    constants.alpha = engine.cost.alpha;
-    constants.beta = engine.cost.beta;
-    obs::CostModel oracle(constants);
+    // Cost-model oracle: the simulator's own cost model, rescaled on the
+    // factor phase when the method has one. Phases whose measured/predicted
+    // ratio drifts past the threshold get a structured warning — the
+    // formulas count the per-rank critical path, so a clean run sits near
+    // ratio 1. Methods without closed-form terms judge no phase and the
+    // reports carry no cost_model section.
+    mpsim::CostModel oracle = engine.cost;
+    double calibration_scale = 1.0;
     std::vector<obs::CostVerdict> verdicts;
     if (!failed) {
       if (method == core::Method::kArd) {
-        oracle.calibrate(core::flops::ard_factor_terms(n, m, p), res.factor_vtime);
-        verdicts.push_back(
-            oracle.judge("factor", core::flops::ard_factor_terms(n, m, p), res.factor_vtime));
-        verdicts.push_back(
-            oracle.judge("solve", core::flops::ard_solve_terms(n, m, r, p), res.solve_vtime));
+        const mpsim::PhaseTerms factor = core::flops::ard_factor_terms(n, m, p);
+        calibration_scale = oracle.fit_scale(factor, res.factor_vtime);
+        oracle = oracle.scaled(calibration_scale);
+        verdicts.push_back(mpsim::judge(oracle, "factor", factor, res.factor_vtime));
+        verdicts.push_back(mpsim::judge(oracle, "solve", core::flops::ard_solve_terms(n, m, r, p),
+                                        res.solve_vtime));
       } else if (method == core::Method::kRdBatched) {
-        verdicts.push_back(
-            oracle.judge("solve", core::flops::rd_batched_terms(n, m, r, p), res.solve_vtime));
+        verdicts.push_back(mpsim::judge(oracle, "solve", core::flops::rd_batched_terms(n, m, r, p),
+                                        res.solve_vtime));
       } else if (method == core::Method::kRdPerRhs) {
-        verdicts.push_back(
-            oracle.judge("solve", core::flops::rd_per_rhs_terms(n, m, r, p), res.solve_vtime));
+        verdicts.push_back(mpsim::judge(oracle, "solve", core::flops::rd_per_rhs_terms(n, m, r, p),
+                                        res.solve_vtime));
       }
       for (const auto& v : verdicts) {
         if (v.flagged) {
           obs::Json fields = obs::Json::object();
           fields.set("phase", v.phase);
           fields.set("ratio", v.ratio);
-          fields.set("threshold", oracle.threshold());
+          fields.set("threshold", mpsim::kCostFlagThreshold);
           warn_log.warn("cli.cost_model",
                         "phase '" + v.phase + "' measured/predicted ratio outside threshold",
                         res.report.max_virtual_time(), std::move(fields));
@@ -884,7 +882,9 @@ int main(int argc, char** argv) {
       obs::Json snapshot = obs::Json::object();
       snapshot.set("metrics", obs::deterministic_metrics(metrics.to_json()));
       snapshot.set("attribution", obs::to_json(attr));
-      snapshot.set("cost_model", oracle.to_json(verdicts));
+      if (!verdicts.empty()) {
+        snapshot.set("cost_model", mpsim::to_json(oracle, calibration_scale, verdicts));
+      }
       std::printf("--- metrics (deterministic) ---\n%s\n--- end metrics ---\n",
                   snapshot.dump(1).c_str());
     }
@@ -925,7 +925,9 @@ int main(int argc, char** argv) {
     }
     report.set_section("metrics", metrics.to_json());
     report.set_section("attribution", obs::to_json(attr));
-    report.set_section("cost_model", oracle.to_json(verdicts));
+    if (!verdicts.empty()) {
+      report.set_section("cost_model", mpsim::to_json(oracle, calibration_scale, verdicts));
+    }
     {
       // Robustness: policy, per-phase outcomes, and the full fault log —
       // every injected fault plus every detection/recovery action.

@@ -12,6 +12,8 @@ then validates the outputs:
   v2 attribution (critical path partitioning the makespan, per-rank
   breakdowns summing to it, per-phase percentiles ordered) and
   cost_model sections;
+* a method with no closed-form cost terms (pcr) emits no cost_model
+  section at all rather than an empty one;
 * the --metrics snapshot is bit-identical across two runs.
 
 Usage: check_trace.py /path/to/ardbt [P]
@@ -164,6 +166,21 @@ def check_cost_model(cm):
             fail(f"cost_model predicted non-positive time: {verdict}")
 
 
+def check_no_cost_model(cli, nranks, tmp):
+    """pcr judges no phase, so neither report carries a cost_model."""
+    report_path = str(Path(tmp) / "pcr_report.json")
+    cmd = [cli, "--method", "pcr", "--n", "64", "--m", "4", "--p", str(nranks),
+           "--r", "4", "--json", report_path, "--metrics"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    if "cost_model" in json.loads(Path(report_path).read_text()):
+        fail("--method pcr report carries a cost_model section with no phases")
+    if '"cost_model"' in proc.stdout:
+        fail("--method pcr --metrics snapshot carries a cost_model section")
+    print("check_trace: pcr report and snapshot carry no cost_model section")
+
+
 def metrics_snapshot(cli, nranks, threads):
     cmd = [cli, "--method", "ard", "--n", "64", "--m", "4", "--p", str(nranks),
            "--r", "4", "--threads", str(threads), "--metrics"]
@@ -206,6 +223,7 @@ def main():
             fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
         check_trace(trace_path, nranks)
         check_report(report_path, nranks)
+        check_no_cost_model(cli, nranks, tmp)
     check_metrics_determinism(cli, nranks)
     print("check_trace: PASS")
 

@@ -48,20 +48,19 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
   const la::index_t nloc = hi_ - lo_;
 
   // --- 1. Local segment copy and its block-Thomas factorization.
-  const BlockTridiag tloc = copy_segment(sys, lo_, nloc, m);
-  unmodified_ = ThomasFactorization::factor(tloc, opts_.pivot);
+  seg_ = ThomasFactorization::factor(copy_segment(sys, lo_, nloc, m), opts_.pivot);
   comm.charge_flops(ThomasFactorization::factor_flops(nloc, m, opts_.pivot));
 
-  // --- 2. Two-port corner blocks via a 2M-column local solve: columns
-  // [0, M) carry the unit load on the first block row, columns [M, 2M)
-  // on the last, so the corners of the solution are the corner blocks of
-  // T_loc^{-1}.
+  // --- 2. Spike panel W = T_loc^{-1} [E_first E_last] via a 2M-column
+  // local solve: columns [0, M) carry the unit load on the first block
+  // row, columns [M, 2M) on the last, so the corners of W are the corner
+  // blocks of T_loc^{-1} — the segment's two-port.
   Matrix e = la::ws_acquire(ws_, nloc * m, 2 * m);
   for (la::index_t i = 0; i < m; ++i) {
     e(i, i) = 1.0;
     e((nloc - 1) * m + i, m + i) = 1.0;
   }
-  Matrix w = unmodified_.solve(e, comm.pool(), ws_);
+  Matrix w = seg_.solve(e, comm.pool(), ws_);
   comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, 2 * m));
 
   tp_.P = la::to_matrix(w.block(0, 0, m, m));
@@ -70,14 +69,17 @@ void ArdFactorization::local_phase(mpsim::Comm& comm, const SysView& sys) {
   tp_.S = la::to_matrix(w.block((nloc - 1) * m, m, m, m));
   tp_.a_first = (lo_ > 0) ? sys.lower(lo_) : Matrix(m, m);
   tp_.c_last = (hi_ < n_) ? sys.upper(hi_ - 1) : Matrix(m, m);
-  a_lo_ = tp_.a_first;
-  c_hi_ = tp_.c_last;
+  // Keep the halves of W that face a neighbour rank for the solve-phase
+  // spike correction (out of the arena: they live as long as the
+  // factorization).
+  const la::index_t c0 = (lo_ > 0) ? 0 : m;
+  const la::index_t c1 = (hi_ < n_) ? 2 * m : m;
+  spikes_ = c1 > c0 ? la::to_matrix(w.block(0, c0, nloc * m, c1 - c0)) : Matrix{};
   la::ws_release(ws_, std::move(e));
   la::ws_release(ws_, std::move(w));
 }
 
-template <typename SysView>
-void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
+void ArdFactorization::global_phase(mpsim::Comm& comm) {
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor.global");
   const la::index_t m = m_;
   const la::index_t nloc = hi_ - lo_;
@@ -104,29 +106,40 @@ void ArdFactorization::global_phase(mpsim::Comm& comm, const SysView& sys) {
                                                  ard_tags::kBwdFactor);
   }
 
-  // --- 4. Fold the boundary relations into the segment's corner diagonal
-  // blocks and factor the modified segment:
-  //   D'_lo     = D_lo     - A_lo S_pre C_{lo-1}
-  //   D'_{hi-1} = D_{hi-1} - C_{hi-1} P_suf A_hi
-  BlockTridiag tloc = copy_segment(sys, lo_, nloc, m);
+  // --- 4. Interface system K = I - diag(F, G) [[P, Q], [R, S]] over the
+  // sides facing a neighbour, with F = A_lo S_pre C_{lo-1} and
+  // G = C_{hi-1} P_suf A_hi. Row block i of K is [I 0] - X_i times the
+  // first (resp. last) block row of W, which holds [P Q] (resp. [R S])
+  // restricted to the same sides.
+  const la::index_t k = spikes_.cols();
+  if (k == 0) return;
+  Matrix kmat = Matrix::identity(k);
+  // X = left * mid * right, then K[row block] -= X * W[w_row block].
+  const auto fold = [&](const Matrix& left, const Matrix& mid, const Matrix& right,
+                        la::index_t k_row, la::index_t w_row) {
+    Matrix lm = la::ws_acquire(ws_, m, m);
+    la::gemm(1.0, left.view(), mid.view(), 0.0, lm.view());
+    Matrix x(m, m);
+    la::gemm(1.0, lm.view(), right.view(), 0.0, x.view());
+    la::ws_release(ws_, std::move(lm));
+    la::gemm(-1.0, x.view(), spikes_.block(w_row, 0, m, k), 1.0, kmat.block(k_row, 0, m, k));
+    comm.charge_flops(2.0 * la::gemm_flops(m, m, m) + la::gemm_flops(m, k, m));
+    return x;
+  };
   if (fwd_.has_incoming()) {
     const TwoPort& pre = fwd_.incoming_mat();
-    Matrix as = la::ws_acquire(ws_, m, m);
-    la::gemm(1.0, a_lo_.view(), pre.S.view(), 0.0, as.view());
-    la::gemm(-1.0, as.view(), pre.c_last.view(), 1.0, tloc.diag(0).view());
-    la::ws_release(ws_, std::move(as));
-    comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
+    f_ = fold(tp_.a_first, pre.S, pre.c_last, 0, 0);
   }
   if (bwd_.has_incoming()) {
     const TwoPort& suf = bwd_.incoming_mat();
-    Matrix cp = la::ws_acquire(ws_, m, m);
-    la::gemm(1.0, c_hi_.view(), suf.P.view(), 0.0, cp.view());
-    la::gemm(-1.0, cp.view(), suf.a_first.view(), 1.0, tloc.diag(nloc - 1).view());
-    la::ws_release(ws_, std::move(cp));
-    comm.charge_flops(2.0 * la::gemm_flops(m, m, m));
+    g_ = fold(tp_.c_last, suf.P, suf.a_first, k - m, (nloc - 1) * m);
   }
-  modified_ = ThomasFactorization::factor(tloc, opts_.pivot);
-  comm.charge_flops(ThomasFactorization::factor_flops(nloc, m, opts_.pivot));
+  k_ = la::lu_factor(std::move(kmat));
+  comm.charge_flops(la::lu_factor_flops(k));
+  if (!k_.ok()) {
+    throw fault::SingularPivotError(fault::ErrorCode::kSingularPivot, "core::ard_interface", -1,
+                                    static_cast<std::int64_t>(k_.info - 1), k_.growth);
+  }
 }
 
 template <typename SysView>
@@ -147,7 +160,7 @@ ArdFactorization ArdFactorization::factor_impl(mpsim::Comm& comm, const SysView&
   }
   ARDBT_TRACE_SPAN(comm, obs::SpanKind::kPhase, "ard.factor");
   f.local_phase(comm, sys);
-  f.global_phase(comm, sys);
+  f.global_phase(comm);
   if constexpr (obs::kTraceCompiledIn) {
     // Breakdown marks make suspect factorizations visible in traces even
     // when the driver's policy accepts them; pure comparisons, no flops.
@@ -176,13 +189,13 @@ ArdFactorization ArdFactorization::factor(mpsim::Comm& comm,
 void ArdFactorization::update(mpsim::Comm& comm, const btds::BlockTridiag& sys,
                               bool rows_changed) {
   if (rows_changed) local_phase(comm, sys);
-  global_phase(comm, sys);
+  global_phase(comm);
 }
 
 void ArdFactorization::update(mpsim::Comm& comm, const btds::LocalBlockTridiag& sys,
                               bool rows_changed) {
   if (rows_changed) local_phase(comm, sys);
-  global_phase(comm, sys);
+  global_phase(comm);
 }
 
 void ArdFactorization::solve(mpsim::Comm& comm, const la::Matrix& b, la::Matrix& x) const {
@@ -215,7 +228,7 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
                                 : r;
   struct Panel {
     la::index_t col0 = 0, cols = 0;
-    Matrix bloc;
+    Matrix t;  ///< T_loc^{-1} b_loc, corrected in place into the solution
     typename CachedScan<TwoPortOp>::Replay fwd;
     typename CachedScan<TwoPortOpReversed>::Replay bwd;
     std::optional<TwoPortVec> pre, suf;  ///< exclusive prefix / suffix vector parts
@@ -227,25 +240,25 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
     p.cols = std::min(chunk, r - c0);
     panels.push_back(std::move(p));
   }
-  // A single panel's modified-segment solve IS the result; only a chunked
+  // A single panel's corrected local solve IS the result; only a chunked
   // solve needs a separate buffer to assemble its panels into.
   const bool single = panels.size() == 1;
   Matrix xloc = single ? Matrix{} : la::ws_acquire(ws_, nloc * m, r);
 
-  /// A-step: copy the panel, run its rank-local reduction, and (overlap
-  /// mode) put both round-0 sends on the wire. No receives — so a rank may
-  /// run this for panel k+1 while panel k's replies are still in flight.
+  /// A-step: the panel's one local solve t = T_loc^{-1} b_loc and (overlap
+  /// mode) both round-0 sends of its segment vector two-port (the first and
+  /// last blocks of t). No receives — so a rank may run this for panel k+1
+  /// while panel k's replies are still in flight.
   const auto start_panel = [&](Panel& p) {
-    p.bloc = la::ws_acquire(ws_, nloc * m, p.cols);
-    la::copy(b_local.block(0, p.col0, nloc * m, p.cols), p.bloc.view());
-    if (!dist) return;
-    // Segment vector two-port: first/last blocks of T_loc^{-1} b_loc.
-    Matrix t = unmodified_.solve(p.bloc, pool, ws_);
+    Matrix bloc = la::ws_acquire(ws_, nloc * m, p.cols);
+    la::copy(b_local.block(0, p.col0, nloc * m, p.cols), bloc.view());
+    p.t = seg_.solve(bloc, pool, ws_);
     comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, p.cols));
+    la::ws_release(ws_, std::move(bloc));
+    if (!dist) return;
     TwoPortVec v{.p = la::ws_acquire(ws_, m, p.cols), .q = la::ws_acquire(ws_, m, p.cols)};
-    la::copy(t.block(0, 0, m, p.cols), v.p.view());
-    la::copy(t.block((nloc - 1) * m, 0, m, p.cols), v.q.view());
-    la::ws_release(ws_, std::move(t));
+    la::copy(p.t.block(0, 0, m, p.cols), v.p.view());
+    la::copy(p.t.block((nloc - 1) * m, 0, m, p.cols), v.q.view());
     // The forward replay consumes a copy of v; the backward one v itself.
     TwoPortVec v_fwd{.p = la::ws_acquire(ws_, m, p.cols), .q = la::ws_acquire(ws_, m, p.cols)};
     la::copy(v.p.view(), v_fwd.p.view());
@@ -278,28 +291,40 @@ la::Matrix ArdFactorization::solve_local(mpsim::Comm& comm, const la::Matrix& b_
     }
   };
 
-  /// C-step: apply the boundary corrections b'_lo -= A_lo q_pre and
-  /// b'_{hi-1} -= C_{hi-1} p_suf, then back-solve the modified segment.
+  /// C-step: solve the interface system
+  ///   K [u; v] = [A_lo q_pre - F p; C_{hi-1} p_suf - G q]
+  /// (each row block present iff that neighbour exists) and apply the
+  /// spike correction x_loc = t - W [u; v].
+  const la::index_t k = spikes_.cols();
   const auto finish_panel = [&](Panel& p) {
-    if (p.pre) {
-      la::gemm(-1.0, a_lo_.view(), p.pre->q.view(), 1.0, p.bloc.block(0, 0, m, p.cols), pool);
-      comm.charge_flops(la::gemm_flops(m, p.cols, m));
-      TwoPortOp::recycle_vec(ctx, std::move(*p.pre));
+    if (k > 0) {
+      Matrix uv = la::ws_acquire(ws_, k, p.cols);
+      // One row block: coupling * boundary - fg * (first or last block of t).
+      const auto side = [&](const Matrix& coupling, const Matrix& boundary, const Matrix& fg,
+                            la::index_t uv_row, la::index_t t_row) {
+        const la::MatrixView dst = uv.block(uv_row, 0, m, p.cols);
+        la::gemm(1.0, coupling.view(), boundary.view(), 0.0, dst, pool);
+        la::gemm(-1.0, fg.view(), p.t.block(t_row, 0, m, p.cols), 1.0, dst, pool);
+        comm.charge_flops(2.0 * la::gemm_flops(m, p.cols, m));
+      };
+      if (p.pre) {
+        side(tp_.a_first, p.pre->q, f_, 0, 0);
+        TwoPortOp::recycle_vec(ctx, std::move(*p.pre));
+      }
+      if (p.suf) {
+        side(tp_.c_last, p.suf->p, g_, k - m, (nloc - 1) * m);
+        TwoPortOp::recycle_vec(ctx, std::move(*p.suf));
+      }
+      la::lu_solve_inplace(k_, uv.view());
+      la::gemm(-1.0, spikes_.view(), uv.view(), 1.0, p.t.view(), pool);
+      comm.charge_flops(la::lu_solve_flops(k, p.cols) + la::gemm_flops(nloc * m, p.cols, k));
+      la::ws_release(ws_, std::move(uv));
     }
-    if (p.suf) {
-      la::gemm(-1.0, c_hi_.view(), p.suf->p.view(), 1.0,
-               p.bloc.block((nloc - 1) * m, 0, m, p.cols), pool);
-      comm.charge_flops(la::gemm_flops(m, p.cols, m));
-      TwoPortOp::recycle_vec(ctx, std::move(*p.suf));
-    }
-    Matrix xp = modified_.solve(p.bloc, pool, ws_);
-    comm.charge_flops(ThomasFactorization::solve_flops(nloc, m, p.cols));
-    la::ws_release(ws_, std::move(p.bloc));
     if (single) {
-      xloc = std::move(xp);
+      xloc = std::move(p.t);
     } else {
-      la::copy(xp.view(), xloc.block(0, p.col0, nloc * m, p.cols));
-      la::ws_release(ws_, std::move(xp));
+      la::copy(p.t.view(), xloc.block(0, p.col0, nloc * m, p.cols));
+      la::ws_release(ws_, std::move(p.t));
     }
   };
 
@@ -333,9 +358,24 @@ std::size_t ArdFactorization::storage_bytes() const {
                                                  tp_.S.size() + tp_.a_first.size() +
                                                  tp_.c_last.size()) *
                         sizeof(double);
-  return unmodified_.storage_bytes() + modified_.storage_bytes() +
-         scan_cache(fwd_.num_rounds()) + scan_cache(bwd_.num_rounds()) + tp_bytes +
-         static_cast<std::size_t>(a_lo_.size() + c_hi_.size()) * sizeof(double);
+  const auto interface_bytes =
+      static_cast<std::size_t>(spikes_.size() + f_.size() + g_.size() + k_.lu.size()) *
+          sizeof(double) +
+      k_.piv.size() * sizeof(la::index_t);
+  return seg_.storage_bytes() + interface_bytes + scan_cache(fwd_.num_rounds()) +
+         scan_cache(bwd_.num_rounds()) + tp_bytes;
+}
+
+fault::PivotDiagnostics ArdFactorization::diagnostics() const {
+  fault::PivotDiagnostics d = seg_.pivot_diagnostics();
+  if (k_.n() > 0) {
+    // Rescale K's pivot range onto the segment's largest pivot so the
+    // merged max/min ratio is max(segment growth, K growth).
+    fault::PivotDiagnostics kd;
+    kd.observe(d.max_pivot_abs * (k_.min_pivot_abs / k_.max_pivot_abs), d.max_pivot_abs, -1);
+    d.merge(kd);
+  }
+  return d;
 }
 
 }  // namespace ardbt::core

@@ -6,6 +6,7 @@
 #include "src/btds/thomas.hpp"
 #include "src/core/scan.hpp"
 #include "src/core/twoport.hpp"
+#include "src/la/lu.hpp"
 #include "src/mpsim/comm.hpp"
 
 /// \file ard.hpp
@@ -18,22 +19,30 @@
 /// per right-hand-side batch:
 ///
 ///   factor — O(M^3 (N/P + log P)) work, O(M^2 (N/P + log P)) memory:
-///     1. block-Thomas factorization of this rank's row segment;
-///     2. the segment's two-port reduction (corner blocks of its inverse,
-///        via a 2M-column local solve);
+///     1. block-Thomas factorization of this rank's row segment T_loc;
+///     2. the segment's spike panel W = T_loc^{-1} [E_first E_last] (one
+///        2M-column local solve), whose corner blocks are the segment's
+///        two-port;
 ///     3. forward and backward hypercube prefix scans over two-ports
 ///        (CachedScan<TwoPortOp>, log P rounds of O(M^3) merges, caching
 ///        the per-round matrices);
 ///     4. the prefix scans deliver exact boundary relations
 ///            x_{lo-1} = -S_pre C_{lo-1} x_lo     + q_pre(b)
-///            x_hi     = -P_suf A_hi     x_{hi-1} + p_suf(b),
-///        whose matrix parts fold into this rank's first/last diagonal
-///        blocks; the modified segment is Thomas-factored as well.
+///            x_hi     = -P_suf A_hi     x_{hi-1} + p_suf(b).
+///        Substituted into x_loc = T_loc^{-1} b_loc - W [u; v], with
+///        u = A_lo x_{lo-1} and v = C_{hi-1} x_hi, they leave the interface
+///        system K [u; v] = [A_lo q_pre - F p; C_{hi-1} p_suf - G q] with
+///            F = A_lo S_pre C_{lo-1},  G = C_{hi-1} P_suf A_hi,
+///            K = I - diag(F, G) [[P, Q], [R, S]],
+///        which is LU-factored once. K is 2M x 2M on interior ranks, M x M
+///        on the two edge ranks (one neighbour), and empty at P = 1.
 ///
 ///   solve — O(M^2 R (N/P + log P)) for R right-hand sides:
-///     one local solve for the segment's (p, q), a vector-only replay of
-///     both scans (cached matrices, M x R exchanges), right-hand-side
-///     boundary corrections, and one local solve of the modified segment.
+///     one local solve t = T_loc^{-1} b_loc, whose first/last blocks are the
+///     segment's (p, q); a vector-only replay of both scans (cached
+///     matrices, M x R exchanges); the interface solve for [u; v]; and the
+///     spike correction x_loc = t - W [u; v] — one (nloc M) x 2M by
+///     2M x R gemm instead of a second dependent block sweep.
 ///
 /// Classic RD re-runs the factor phase on every solve; amortized over R
 /// right-hand sides ARD is therefore ~R/(1 + c R/M) times faster — the
@@ -82,11 +91,11 @@ struct ArdOptions {
   /// driven through the same options; the two-port solver needs no
   /// rescaling.
   bool rescale = true;
-  /// Pivot factorization of the local segments. kCholesky halves the
+  /// Pivot factorization of the local segment. kCholesky halves the
   /// pivot-factor work and is unconditionally stable, but requires an SPD
-  /// system (symmetric with A_{i+1} = C_i^T); the boundary-modified
-  /// segment is then a Schur complement of the global SPD matrix, hence
-  /// SPD as well.
+  /// system (symmetric with A_{i+1} = C_i^T); every segment of an SPD
+  /// system is SPD. The interface system K is not symmetric and is always
+  /// LU-factored.
   btds::PivotKind pivot = btds::PivotKind::kLu;
   /// Pivot-growth ratio (diagnostics().growth()) above which a completed
   /// factorization is considered broken down: its solutions are accepted
@@ -137,10 +146,11 @@ class ArdFactorization {
 
   /// Collective. Cheap refactorization after the matrix changed on *some*
   /// ranks. Pass `rows_changed = true` on ranks whose block rows differ
-  /// from what was factored; those redo the full local phase, unchanged
-  /// ranks reuse their segment factorization and two-port (~80% of the
-  /// local work) and only replay the O(M^3 log P) scans plus one segment
-  /// factorization. The partition must be unchanged.
+  /// from what was factored; those redo the full local phase. Unchanged
+  /// ranks reuse their segment factorization, spike panel and two-port —
+  /// all of the O(M^3 N/P) work — and only replay the O(M^3 log P) scans
+  /// and refactor the (at most 2M x 2M) interface system K. The partition
+  /// must be unchanged.
   void update(mpsim::Comm& comm, const btds::BlockTridiag& sys, bool rows_changed);
   void update(mpsim::Comm& comm, const btds::LocalBlockTridiag& sys, bool rows_changed);
 
@@ -149,32 +159,32 @@ class ArdFactorization {
   la::index_t local_rows() const { return hi_ - lo_; }
 
   /// Approximate bytes of factored state held by this rank (T1's memory
-  /// column): two segment factorizations plus the scan caches.
+  /// column): the segment factorization, the spike panel (M columns per
+  /// neighbour rank), the interface system's LU, and the scan caches.
   std::size_t storage_bytes() const;
 
-  /// Merged pivot extremes of this rank's two segment factorizations —
-  /// the breakdown monitor the drivers compare against
-  /// ArdOptions::breakdown_growth_threshold.
-  fault::PivotDiagnostics diagnostics() const {
-    fault::PivotDiagnostics d = unmodified_.pivot_diagnostics();
-    d.merge(modified_.pivot_diagnostics());
-    return d;
-  }
+  /// Pivot extremes of this rank's segment factorization with the
+  /// interface system K's LU pivots folded in — the breakdown monitor the
+  /// drivers compare against ArdOptions::breakdown_growth_threshold.
+  /// K = I - ... is dimensionless while the segment pivots carry the
+  /// matrix's scale, so K enters through its own max/min pivot ratio:
+  /// growth() reads the worse of the two.
+  fault::PivotDiagnostics diagnostics() const;
 
  private:
   /// Storage-agnostic implementation pieces (defined in ard.cpp; the
   /// public overloads instantiate them there). The factor phase splits
-  /// into a purely local part (segment factorization + two-port, the
-  /// O(M^3 N/P) term) and a global part (scans + boundary-modified
-  /// factorization) so `update` can skip the former on unchanged ranks.
+  /// into a purely local part (segment factorization, spike panel and
+  /// two-port: the O(M^3 N/P) term) and a global part (scans + interface
+  /// system, independent of N/P) so `update` can skip the former on
+  /// unchanged ranks.
   template <typename SysView>
   static ArdFactorization factor_impl(mpsim::Comm& comm, const SysView& sys,
                                       const btds::RowPartition& part, const ArdOptions& opts,
                                       la::Workspace* ws);
   template <typename SysView>
   void local_phase(mpsim::Comm& comm, const SysView& sys);
-  template <typename SysView>
-  void global_phase(mpsim::Comm& comm, const SysView& sys);
+  void global_phase(mpsim::Comm& comm);
 
   int rank_ = 0;
   ArdOptions opts_{};
@@ -184,11 +194,16 @@ class ArdFactorization {
   la::index_t lo_ = 0;  // first local block row
   la::index_t hi_ = 0;  // one past last local block row
 
-  btds::ThomasFactorization unmodified_;  // T_loc (for two-port vector parts)
-  btds::ThomasFactorization modified_;    // T_loc with boundary-folded corners
-  TwoPort tp_;                            // this segment's two-port (kept for update())
-  la::Matrix a_lo_;                       // A_{lo} (zero on rank owning row 0)
-  la::Matrix c_hi_;                       // C_{hi-1} (zero on rank owning row N-1)
+  btds::ThomasFactorization seg_;  // T_loc
+  // W = T_loc^{-1} [E_first E_last], (nloc M) x k: only the M-column
+  // halves facing a neighbour rank (E_first iff lo > 0, E_last iff
+  // hi < N), so k = 2M, M on the edge ranks, 0 at P = 1.
+  la::Matrix spikes_;
+  la::Matrix f_;       // F = A_lo S_pre C_{lo-1} (empty on the rank owning row 0)
+  la::Matrix g_;       // G = C_{hi-1} P_suf A_hi (empty on the rank owning row N-1)
+  la::LuFactors k_;    // LU of the k x k interface system K
+  TwoPort tp_;         // this segment's two-port (kept for update()); its
+                       // a_first / c_last are A_lo / C_{hi-1}
   CachedScan<TwoPortOp> fwd_;
   CachedScan<TwoPortOpReversed> bwd_;
 };

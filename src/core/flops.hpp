@@ -8,10 +8,11 @@
 /// \file flops.hpp
 /// Closed-form work and communication counts mirroring the kernels the
 /// solvers actually call (experiment T1). All counts are the *per-rank
-/// critical path*: local terms use ceil(N/P) rows, cross-rank terms use
-/// ceil(log2 P) hypercube rounds. Cross-checked against the runtime flop
-/// counters (Comm::charge_flops) in tests. The *_terms builders bundle
-/// them as mpsim::PhaseTerms, so a phase's closed-form runtime is
+/// critical path*: local terms use ceil(N/P) rows, cross-rank terms the
+/// busiest rank's merges over ceil(log2 P) hypercube rounds. Cross-checked
+/// against the runtime flop counters (Comm::charge_flops) in tests. The
+/// *_terms builders bundle them, with the drivers' closing barrier, as
+/// mpsim::PhaseTerms, so a phase's closed-form runtime is
 /// `cost.predict(flops::*_terms(...))` on any mpsim::CostModel.
 
 namespace ardbt::core::flops {
@@ -30,27 +31,66 @@ inline double rows_per_rank(index_t n, int p) {
   return std::ceil(static_cast<double>(n) / static_cast<double>(p));
 }
 
-/// ARD factor phase flops (phase 1). The breakdown mirrors
-/// ArdFactorization::factor (the two-port formulation):
-///   per row : two block-Thomas factorizations (2 x 14/3 M^3) plus the
-///             2M-column corner solve (12 M^3) ~ 21.3 M^3
-///   per round: two scans x <= 2 two-port merges, each merge ~13 gemms +
-///             LU + two right-divides ~ 31 M^3  =>  <= 124 M^3
-inline double ard_factor(index_t n, index_t m, int p) {
-  const double m3 = static_cast<double>(m) * static_cast<double>(m) * static_cast<double>(m);
-  const double per_row = (2.0 * 14.0 / 3.0 + 12.0) * m3;
-  const double per_round = 2.0 * 2.0 * 31.0 * m3;
-  return rows_per_rank(n, p) * per_row + log2_rounds(p) * per_round;
+/// The most two-port merges any one rank runs over the forward and the
+/// backward prefix scan together. CachedScan's hypercube exscan merges the
+/// running partial once per round, and from a rank's second lower-partner
+/// round on also folds the message into its exclusive prefix; every
+/// solve-phase replay repeats the same merge events on vector parts.
+/// 3 ceil(log2 P) - 1 when P is a power of two, fewer otherwise.
+inline double scan_merges(int p) {
+  const auto merges = [p](int seq) {
+    int rounds = 0;
+    int lower = 0;
+    for (int mask = 1; mask < p; mask <<= 1) {
+      if ((seq ^ mask) < p) ++rounds;
+      if ((seq & mask) != 0) ++lower;
+    }
+    return rounds + (lower > 1 ? lower - 1 : 0);
+  };
+  int most = 0;
+  for (int r = 0; r < p; ++r) {
+    const int both = merges(r) + merges(p - 1 - r);
+    if (both > most) most = both;
+  }
+  return most;
 }
 
-/// ARD solve phase flops (phase 2) for R right-hand sides: two local
-/// Thomas solves (12 M^2 R per row; only one when P = 1, where the
-/// segment-vector pass is skipped) plus <= 2 scans x 2 merges x 4 gemms
-/// per round (32 M^2 R) and the two boundary corrections.
+/// Sides of the busiest rank's segment that face a neighbour rank — the
+/// M-column halves of its spike panel and the M x M row blocks of its
+/// interface system K: 2 on interior ranks (P >= 3), 1 when P = 2 (both
+/// ranks are edge ranks), 0 at P = 1.
+inline double interface_sides(int p) { return p >= 3 ? 2.0 : static_cast<double>(p - 1); }
+
+/// ARD factor phase flops (phase 1) on the busiest rank, mirroring
+/// ArdFactorization::factor:
+///   per row  : one block-Thomas factorization (14/3 M^3) plus the
+///              2M-column spike solve (12 M^3) = 50/3 M^3
+///   per merge: 13 gemms, one LU and two M-column right-divides
+///              = 92/3 M^3, scan_merges(P) times
+///   interface: for each of the s_P = interface_sides(P) sides, F or G
+///              (two gemms, 4 M^3) and its M rows of K (2 s_P M^3); then
+///              the LU of K (2/3 (s_P M)^3)
+inline double ard_factor(index_t n, index_t m, int p) {
+  const double m3 = static_cast<double>(m) * static_cast<double>(m) * static_cast<double>(m);
+  const double sides = interface_sides(p);
+  const double per_row = (14.0 / 3.0 + 12.0) * m3;
+  const double interface = (sides * (4.0 + 2.0 * sides) + 2.0 / 3.0 * sides * sides * sides) * m3;
+  return rows_per_rank(n, p) * per_row + scan_merges(p) * 92.0 / 3.0 * m3 + interface;
+}
+
+/// ARD solve phase flops (phase 2) for R right-hand sides on the busiest
+/// rank:
+///   per row  : one local Thomas solve (6 M^2 R) plus the spike correction
+///              gemm (2 s_P M^2 R)
+///   per merge: one vector merge (4 gemms, 8 M^2 R), scan_merges(P) times
+///   interface: per side the right-hand side A q - F p (two gemms,
+///              4 M^2 R), then the solve with K's LU (2 (s_P M)^2 R)
 inline double ard_solve(index_t n, index_t m, index_t r, int p) {
   const double m2r = static_cast<double>(m) * static_cast<double>(m) * static_cast<double>(r);
-  const double per_row = (p == 1 ? 6.0 : 12.0) * m2r;
-  return rows_per_rank(n, p) * per_row + log2_rounds(p) * 32.0 * m2r + 4.0 * m2r;
+  const double sides = interface_sides(p);
+  const double per_row = (6.0 + 2.0 * sides) * m2r;
+  return rows_per_rank(n, p) * per_row + scan_merges(p) * 8.0 * m2r +
+         (4.0 * sides + 2.0 * sides * sides) * m2r;
 }
 
 /// Classic RD, all R right-hand sides batched into one pass.
@@ -66,7 +106,8 @@ inline double rd_per_rhs(index_t n, index_t m, index_t r, int p) {
 /// Predicted ARD-over-RD speedup for R right-hand sides (the F1 curve):
 /// ARD amortizes one factor over one batched solve, the same count as
 /// rd_batched. Approaches R for small R and saturates near
-/// factor/solve-per-rhs ~ 4M.
+/// factor / solve-per-RHS ~ 5M/3 (per row, 50/3 M^3 over 10 M^2 on an
+/// interior rank).
 inline double predicted_speedup(index_t n, index_t m, index_t r, int p) {
   return rd_per_rhs(n, m, r, p) / rd_batched(n, m, r, p);
 }
@@ -90,31 +131,41 @@ inline double ard_factor_messages(int p) { return 2.0 * log2_rounds(p); }
 /// Solve-phase message count per rank.
 inline double ard_solve_messages(int p) { return 2.0 * log2_rounds(p); }
 
+/// Terms of a phase as the drivers time it, from one barrier to the next:
+/// its own work plus the closing dissemination barrier, ceil(log2 P)
+/// one-byte messages per rank.
+inline mpsim::PhaseTerms driver_phase_terms(double flops, double messages, double bytes, int p) {
+  return {flops, messages + log2_rounds(p), bytes + log2_rounds(p)};
+}
+
 /// Workload terms of the ARD factor phase (mpsim::CostModel::predict,
-/// mpsim::judge): the same counts as ard_factor / ard_factor_messages /
-/// ard_factor_bytes, bundled.
+/// mpsim::judge): ard_factor / ard_factor_messages / ard_factor_bytes.
 inline mpsim::PhaseTerms ard_factor_terms(index_t n, index_t m, int p) {
-  return {ard_factor(n, m, p), ard_factor_messages(p), ard_factor_bytes(m, p)};
+  return driver_phase_terms(ard_factor(n, m, p), ard_factor_messages(p), ard_factor_bytes(m, p),
+                            p);
 }
 
 /// Workload terms of one ARD solve batch with R right-hand sides.
 inline mpsim::PhaseTerms ard_solve_terms(index_t n, index_t m, index_t r, int p) {
-  return {ard_solve(n, m, r, p), ard_solve_messages(p), ard_solve_bytes(m, r, p)};
+  return driver_phase_terms(ard_solve(n, m, r, p), ard_solve_messages(p),
+                            ard_solve_bytes(m, r, p), p);
 }
 
 /// Classic batched RD does factor-equivalent and solve-equivalent work in
-/// one pass: the sum of both phases' terms.
+/// one driver phase.
 inline mpsim::PhaseTerms rd_batched_terms(index_t n, index_t m, index_t r, int p) {
-  const mpsim::PhaseTerms f = ard_factor_terms(n, m, p);
-  const mpsim::PhaseTerms s = ard_solve_terms(n, m, r, p);
-  return {f.flops + s.flops, f.messages + s.messages, f.bytes + s.bytes};
+  return driver_phase_terms(rd_batched(n, m, r, p),
+                            ard_factor_messages(p) + ard_solve_messages(p),
+                            ard_factor_bytes(m, p) + ard_solve_bytes(m, r, p), p);
 }
 
-/// Per-RHS RD repeats the full pass once per right-hand side.
+/// Per-RHS RD repeats the full pass once per right-hand side, all in one
+/// driver phase.
 inline mpsim::PhaseTerms rd_per_rhs_terms(index_t n, index_t m, index_t r, int p) {
-  const mpsim::PhaseTerms one = rd_batched_terms(n, m, 1, p);
   const double rr = static_cast<double>(r);
-  return {rr * one.flops, rr * one.messages, rr * one.bytes};
+  return driver_phase_terms(rd_per_rhs(n, m, r, p),
+                            rr * (ard_factor_messages(p) + ard_solve_messages(p)),
+                            rr * (ard_factor_bytes(m, p) + ard_solve_bytes(m, 1, p)), p);
 }
 
 }  // namespace ardbt::core::flops

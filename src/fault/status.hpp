@@ -302,8 +302,9 @@ struct PivotDiagnostics {
     if (block_max_abs > max_pivot_abs) max_pivot_abs = block_max_abs;
   }
 
-  /// Merge another accumulator (e.g. the two segment factorizations of an
-  /// ARD rank).
+  /// Merge another accumulator (e.g. an ARD rank's interface-system
+  /// pivots into its segment factorization's; see
+  /// core::ArdFactorization::diagnostics).
   void merge(const PivotDiagnostics& o) {
     if (o.min_pivot_abs < min_pivot_abs) {
       min_pivot_abs = o.min_pivot_abs;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "src/btds/generators.hpp"
 #include "src/btds/spmv.hpp"
@@ -131,6 +132,37 @@ TEST(Ard, ThrowsWhenMoreRanksThanRows) {
   const BlockTridiag sys = make_problem(ProblemKind::kPoisson2D, 2, 2);
   const Matrix b = make_rhs(2, 2, 1);
   EXPECT_THROW(ard_driver(sys, b, 3), std::runtime_error);
+}
+
+TEST(Ard, PivotGrowthIgnoresMatrixScale) {
+  // The interface system K = I - ... is dimensionless while the segment
+  // pivots scale with the matrix: diagnostics() folds K in through its own
+  // pivot ratio, so scaling the whole system (by a power of two: every
+  // pivot scales exactly) leaves every rank's growth bit-identical.
+  const la::index_t n = 32, m = 4;
+  const int p = 4;
+  const BlockTridiag sys = make_problem(ProblemKind::kDiagDominant, n, m);
+  BlockTridiag scaled = sys;
+  const double s = 0x1p30;
+  const auto scale = [s](Matrix& blk) {
+    for (double& v : blk.data()) v *= s;
+  };
+  for (la::index_t i = 0; i < n; ++i) {
+    scale(scaled.diag(i));
+    if (i > 0) scale(scaled.lower(i));
+    if (i + 1 < n) scale(scaled.upper(i));
+  }
+  const btds::RowPartition part(n, p);
+  std::vector<double> growth(p), growth_scaled(p);
+  mpsim::run(p, [&](mpsim::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    growth[r] = ArdFactorization::factor(comm, sys, part).diagnostics().growth();
+    growth_scaled[r] = ArdFactorization::factor(comm, scaled, part).diagnostics().growth();
+  });
+  for (int r = 0; r < p; ++r) {
+    EXPECT_GT(growth[r], 1.0) << "rank " << r;
+    EXPECT_EQ(growth_scaled[r], growth[r]) << "rank " << r;
+  }
 }
 
 TEST(Ard, FlopCounterMatchesAnalyticFormulaWithinFactor) {

@@ -277,11 +277,12 @@ TEST(CostModel, CalibrateRescalesUniformly) {
 }
 
 TEST(CostModel, PaperTermsPredictEngineFactorTime) {
-  // End to end: the simulator charges exactly the flops/messages/bytes
-  // the formulas count, so judging with the engine's own cost model must
-  // land every phase with closed-form terms well inside the 2x band — for
-  // even and uneven partitions, the ARD factor and solve phases, and both
-  // classic RD variants. Every ratio sits in [0.95, 1.2].
+  // End to end: the simulator charges the flops/messages/bytes the
+  // formulas count (the busiest rank's merges, its interface system, the
+  // drivers' closing barrier), so judging with the engine's own cost model
+  // must land every phase with closed-form terms well inside the 2x band —
+  // for even and uneven partitions, the ARD factor and solve phases, and
+  // both classic RD variants. Every ratio sits in [0.95, 1.10].
   const la::index_t n = 64;
   const la::index_t m = 4;
   const la::index_t r = 4;
@@ -293,9 +294,9 @@ TEST(CostModel, PaperTermsPredictEngineFactorTime) {
     EXPECT_GT(v.predicted_s, 0.0) << v.phase << " P=" << p;
     EXPECT_FALSE(v.flagged) << v.phase << " P=" << p << " measured/predicted = " << v.ratio;
     EXPECT_GE(v.ratio, 0.95) << v.phase << " P=" << p;
-    EXPECT_LE(v.ratio, 1.2) << v.phase << " P=" << p;
+    EXPECT_LE(v.ratio, 1.10) << v.phase << " P=" << p;
   };
-  for (const int p : {1, 3, 4}) {
+  for (const int p : {1, 2, 3, 4, 8}) {
     // ARD as the CLI judges it: the factor phase against the engine's own
     // model, then the solve phase against that model rescaled on the factor.
     const auto ard = core::solve(core::Method::kArd, sys, b, p, {.engine = engine});

@@ -1,13 +1,17 @@
 // Randomized differential testing: many seeded problems, every solver in
-// the library cross-checked against block Thomas. Shapes and ARD schedule
-// options are drawn from a seeded generator so failures are reproducible
-// by seed.
+// the library cross-checked against block Thomas, and ARD's residual
+// against the banded-LU oracle's. Shapes, problem kinds, the ARD pivot
+// kind and schedule options are drawn from a seeded generator so failures
+// are reproducible by seed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <exception>
+#include <limits>
 #include <random>
 
+#include "src/btds/banded_lu.hpp"
 #include "src/btds/cyclic_reduction.hpp"
 #include "src/la/blas1.hpp"
 #include "src/btds/generators.hpp"
@@ -34,6 +38,8 @@ struct FuzzCase {
   bool overlap;
   index_t chunk;
   int threads;
+  // Segment pivot factorization (kCholesky only on SPD Poisson draws).
+  btds::PivotKind pivot;
 };
 
 // Seeds from here on force an uneven partition with P <= N < 2P, where
@@ -60,13 +66,21 @@ FuzzCase draw_case(std::uint64_t seed) {
     c.p = 2 + static_cast<int>(rng() % 5);
     c.n = c.p + 1 + static_cast<index_t>(rng() % static_cast<std::uint64_t>(c.p - 1));
   }
+  // Drawn after everything above, so every seed keeps its shape and
+  // schedule options.
+  if (rng() % 5 == 0) c.kind = ProblemKind::kIllConditioned;
+  const bool cholesky = rng() % 2 == 1;
+  c.pivot = (cholesky && c.kind == ProblemKind::kPoisson2D) ? btds::PivotKind::kCholesky
+                                                             : btds::PivotKind::kLu;
   return c;
 }
 
 // A rank schedule mismatch fails the run with a DeadlineError (reported
 // with the seed) instead of hanging until the ctest timeout.
-core::SessionConfig ard_config(bool overlap, index_t chunk, int threads) {
+core::SessionConfig ard_config(btds::PivotKind pivot, bool overlap, index_t chunk,
+                               int threads) {
   core::SessionConfig config;
+  config.ard.pivot = pivot;
   config.ard.pipeline.overlap = overlap;
   config.ard.pipeline.chunk_cols = chunk;
   config.engine.threads_per_rank = threads;
@@ -81,7 +95,8 @@ TEST_P(FuzzDifferential, AllSolversMatchThomas) {
   SCOPED_TRACE(::testing::Message()
                << "seed=" << GetParam() << " kind=" << btds::to_string(c.kind) << " N=" << c.n
                << " M=" << c.m << " R=" << c.r << " P=" << c.p << " overlap=" << c.overlap
-               << " chunk=" << c.chunk << " threads=" << c.threads);
+               << " chunk=" << c.chunk << " threads=" << c.threads
+               << " cholesky=" << (c.pivot == btds::PivotKind::kCholesky));
 
   const BlockTridiag sys = make_problem(c.kind, c.n, c.m, GetParam());
   const Matrix b = make_rhs(c.n, c.m, c.r, GetParam() + 1);
@@ -97,15 +112,22 @@ TEST_P(FuzzDifferential, AllSolversMatchThomas) {
   };
   Matrix x_ard, x_sched;
   try {
-    x_ard = core::solve(core::Method::kArd, sys, b, c.p, ard_config(false, 0, 1)).x;
+    x_ard = core::solve(core::Method::kArd, sys, b, c.p, ard_config(c.pivot, false, 0, 1)).x;
     x_sched = core::solve(core::Method::kArd, sys, b, c.p,
-                          ard_config(c.overlap, c.chunk, c.threads))
+                          ard_config(c.pivot, c.overlap, c.chunk, c.threads))
                   .x;
   } catch (const std::exception& e) {
     FAIL() << "seed=" << GetParam() << ": ARD threw " << e.what();
   }
   check(x_ard, 1e-9, "ard");
   EXPECT_TRUE(x_sched == x_ard) << "ARD schedule options changed the solution";
+  // Residual against the exact oracle: banded LU pivots across the whole
+  // band.
+  const double res_oracle =
+      btds::relative_residual(sys, btds::banded_lu_solve(sys, b), b);
+  const double res_ard = btds::relative_residual(sys, x_ard, b);
+  EXPECT_LE(res_ard, 10.0 * std::max(res_oracle, std::numeric_limits<double>::epsilon()))
+      << "ARD residual " << res_ard << " vs banded LU " << res_oracle;
   check(core::solve(core::Method::kPcr, sys, b, c.p).x, 1e-9, "pcr");
   check(btds::cyclic_reduction_solve(sys, b), 1e-9, "cyclic reduction");
   // Transfer RD only where its known N-degradation allows a meaningful
@@ -125,6 +147,23 @@ TEST(FuzzDifferentialCases, SeedsCoverUnevenPartitions) {
     if (c.p >= 2 && c.n < 2 * c.p && c.n % c.p != 0) ++uneven;
   }
   EXPECT_GE(uneven, static_cast<int>(kEndSeed - kFirstUnevenSeed));
+}
+
+// Guards the option draws: ill-conditioned systems and Cholesky segment
+// factorizations both come up among the seeds.
+TEST(FuzzDifferentialCases, SeedsCoverIllConditionedAndCholesky) {
+  int ill = 0;
+  int cholesky = 0;
+  for (std::uint64_t seed = 0; seed < kEndSeed; ++seed) {
+    const FuzzCase c = draw_case(seed);
+    if (c.kind == ProblemKind::kIllConditioned) ++ill;
+    if (c.pivot == btds::PivotKind::kCholesky) {
+      ASSERT_EQ(c.kind, ProblemKind::kPoisson2D) << "seed=" << seed;
+      ++cholesky;
+    }
+  }
+  EXPECT_GE(ill, 10);
+  EXPECT_GE(cholesky, 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferential, ::testing::Range<std::uint64_t>(0, kEndSeed),

@@ -10,7 +10,8 @@ use-after-invalidate or a dangling Lease would hide. The engine hands
 ranks to parked worker threads that outlive every run, and par::Pool
 forks and joins lanes inside a rank; ASan/UBSan cover their lifetimes and
 TSan their handoffs. The ARD scan pipeline (round-interleaved steppers,
-arena-recycled panels, blocking readiness probes) runs under all three.
+arena-recycled panels, blocking readiness probes) runs under all three;
+the ARD factor/solve/update suites under ASan and UBSan.
 
 The build trees live under the main build directory (passed as argv) and
 are reused across runs, so only the first invocation pays a full
@@ -26,12 +27,15 @@ import sys
 from pathlib import Path
 
 ENGINE_TARGETS = ["test_mpsim", "test_mpsim_stress", "test_par"]
+# The ARD solver's own suites: arena-backed solve panels that become the
+# result, the spike panel copied out of the arena, update() reuse.
+ARD_TARGETS = ["test_pipeline", "test_ard", "test_update", "test_spd"]
 # mode -> (CMake option, test binaries)
 MODES = {
     "asan": ("ARDBT_ASAN",
-             ["test_service", "test_resilience"] + ENGINE_TARGETS + ["test_pipeline"]),
+             ["test_service", "test_resilience"] + ENGINE_TARGETS + ARD_TARGETS),
     "ubsan": ("ARDBT_UBSAN",
-              ["test_service", "test_resilience"] + ENGINE_TARGETS + ["test_pipeline"]),
+              ["test_service", "test_resilience"] + ENGINE_TARGETS + ARD_TARGETS),
     "tsan": ("ARDBT_TSAN", ENGINE_TARGETS + ["test_session", "test_pipeline"]),
 }
 
